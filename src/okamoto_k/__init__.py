@@ -28,11 +28,11 @@ from .dimension import (
 from .errors import (
     ContractionError,
     DomainError,
+    ProofCheckError,
     RangeError,
     ResourceLimitError,
 )
 from .functions import (
-    OkamotoParams,
     PiecewiseLinear,
     SeriesTruncation,
     big_phi,
@@ -43,13 +43,17 @@ from .functions import (
     k_fe,
     k_series_digits,
     k_series_phi,
+    k_series_phi_array,
     kobayashi_truncation,
     lebesgue_L,
+    lebesgue_L_array,
     okamoto_fe,
     okamoto_iterative,
     okamoto_series,
+    okamoto_series_array,
     shift_psi,
     takagi,
+    takagi_array,
     tent_phi,
     ternary_truncation,
     yamaguti_hata_solve,

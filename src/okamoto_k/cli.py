@@ -23,12 +23,12 @@ from .dimension import (
 from .errors import DomainError, RangeError, ResourceLimitError
 from .functions import (
     hata_yamaguti_residual,
-    k_series_phi,
-    lebesgue_L,
+    k_series_phi_array,
+    lebesgue_L_array,
     okamoto_iterative,
-    okamoto_series,
+    okamoto_series_array,
     sample_grid,
-    takagi,
+    takagi_array,
     ternary_truncation,
 )
 
@@ -113,18 +113,18 @@ def _cmd_eval(args) -> int:
         raise DomainError(f"parameter a={a} outside (0, 1)")
     xs = sample_grid(args.samples)
     if args.fn == "takagi":
-        values = [takagi(x) for x in xs]
+        values = takagi_array(xs)
     elif args.fn == "lebesgue":
-        values = [lebesgue_L(a, x) for x in xs]
+        values = lebesgue_L_array(a, xs)
     elif args.fn == "okamoto":
-        values = [okamoto_series(a, x) for x in xs]
+        values = okamoto_series_array(a, xs)
     elif args.fn == "K":
         trunc = ternary_truncation(args.terms) if args.terms else None
-        values = [k_series_phi(x, trunc) for x in xs]
+        values = k_series_phi_array(xs, trunc)
     else:  # Kn: partial sum through level n
         trunc = ternary_truncation(args.level + 1)
-        values = [k_series_phi(x, trunc) for x in xs]
-    points = list(zip(xs, values))
+        values = k_series_phi_array(xs, trunc)
+    points = list(zip(xs.tolist(), values.tolist()))
 
     if args.format == "csv":
         text = _csv_points(points)

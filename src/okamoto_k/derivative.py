@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, ProofCheckError, RangeError
 from .functions import big_phi_exact, k_exact
 from .ternary import (
     DigitSeq,
@@ -195,9 +195,10 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     """Decompose the difference quotient of K at exact ternary rationals.
 
     Requires 0 <= x < x+h < 1 with both endpoints ternary rationals, so
-    all sums are finite and exact.  Asserts the proof's bounds: sigma2 in
-    [-6, 3], |sigma4| <= 9, and the case-appropriate sandwich around the
-    digit weight of x.
+    all sums are finite and exact.  Checks the exact sum and the proof's
+    bounds: sigma2 in [-6, 3], |sigma4| <= 9, and the case-appropriate
+    sandwich around the digit weight of x; raises ProofCheckError if one
+    fails, also under ``python -O``.
     """
     x = Fraction(x)
     h = Fraction(h)
@@ -230,7 +231,8 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     sigma4 = sum((d_term(n) for n in range(tail_start, order)), Fraction(0))
 
     quotient = (k_exact(x + h) - k_exact(x)) / h
-    assert sigma1 + sigma2 + sigma3 + sigma4 == quotient
+    if sigma1 + sigma2 + sigma3 + sigma4 != quotient:
+        raise ProofCheckError(f"sigma sum differs from the quotient {quotient}")
 
     if k0 <= p - 3:
         case_tag = "k0<=p-3"
@@ -245,9 +247,14 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
         ref = _f_weight_loose(dx, 1, p - 1)
         low, high = ref - 15, ref + 12
 
-    assert -6 <= sigma2 <= 3
-    assert abs(sigma4) <= 9
-    assert low <= quotient <= high
+    if not -6 <= sigma2 <= 3:
+        raise ProofCheckError(f"sigma2 = {sigma2} outside [-6, 3]")
+    if abs(sigma4) > 9:
+        raise ProofCheckError(f"|sigma4| = {abs(sigma4)} exceeds 9")
+    if not low <= quotient <= high:
+        raise ProofCheckError(
+            f"quotient {quotient} outside [{low}, {high}] in case {case_tag}"
+        )
 
     return SigmaDecomposition(
         x=x,
@@ -285,7 +292,7 @@ def sigma_fuzz(trials: int, seed: int, max_order: int = 10) -> dict:
         xv, hv = random_ternary_pair(rng, max_order)
         try:
             dec = sigma_decompose(xv, hv)
-        except AssertionError:
+        except ProofCheckError:
             violations += 1
             continue
         cases[dec.case_tag] += 1

@@ -52,10 +52,14 @@ def box_dimension_estimate(
     of the piecewise-linear graph are exact ordinate min/max; a box is
     counted whenever the closed box meets the graph.  The dimension is the
     slope of log N against log 3^j over levels >= fit_min_level (the
-    coarsest scales are excluded as boundary-dominated).
+    coarsest scales are excluded as boundary-dominated).  Raises
+    DomainError when fewer than two levels are left to fit.
     """
-    if max_level < 2:
-        raise DomainError("need max_level >= 2")
+    fit_levels = tuple(range(max(1, fit_min_level), max_level + 1))
+    if len(fit_levels) < 2:
+        raise DomainError(
+            f"levels {max(1, fit_min_level)}..{max_level} leave fewer than two to fit"
+        )
     if max_level > cap_level:
         raise RangeError(f"max_level {max_level} exceeds cap {cap_level}")
     pl = okamoto_iterative(Fraction(a), max_level, cap=3**cap_level + 1)
@@ -71,7 +75,6 @@ def box_dimension_estimate(
             hi = max(col) * scale
             total += math.floor(hi) - math.floor(lo) + 1
         counts.append(total)
-    fit_levels = tuple(j for j in range(max(1, fit_min_level), max_level + 1))
     xs = np.array([j * LN3 for j in fit_levels])
     ys = np.array([math.log(counts[j - 1]) for j in fit_levels])
     slope, intercept = np.polyfit(xs, ys, 1)

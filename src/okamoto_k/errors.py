@@ -15,3 +15,7 @@ class ContractionError(DomainError):
 
 class ResourceLimitError(RuntimeError):
     """A construction would exceed the configured size cap."""
+
+
+class ProofCheckError(RuntimeError):
+    """A runtime check of one of the proof's inequalities failed."""

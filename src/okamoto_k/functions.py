@@ -10,6 +10,12 @@ finite-difference probe of dF_a/da.
 Every float evaluator carries an explicit truncation with a proven tail
 bound; ``k_exact`` and ``okamoto_iterative`` are the exact-rational
 oracles the float routes are tested against.
+
+The ``*_array`` routes behind ``eval`` run the loop of their scalar twin
+over a float64 array, one term at a time, with the same IEEE operations in
+the same order (branches become ``np.where`` selects), so each element is
+bit-identical to the scalar call at that point.  Their memory is
+O(len(xs)) whatever the term count.
 """
 
 from __future__ import annotations
@@ -17,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import ContractionError, DomainError, ResourceLimitError
 from .ternary import DigitSeq, digit_at, expand_rational
 
-TERNARY_TERMS = 40  # tail <= 0.5 * 3**-40, below double-precision noise
+TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50
 
 _S = (0, 1, -1)  # sign weight per digit
@@ -44,8 +52,12 @@ class SeriesTruncation:
 
 
 def ternary_truncation(terms: int = TERNARY_TERMS) -> SeriesTruncation:
-    """Truncation for sum 3^-n Phi(3^n x): |Phi| <= 1, tail <= 0.5 * 3^-N."""
-    return SeriesTruncation(terms, 0.5 * 3.0 ** (-terms))
+    """Truncation for sum 3^-n Phi(3^n x), n = 0..N-1.
+
+    |Phi| <= 1, so the tail is at most sum_{n>=N} 3^-n = 1.5 * 3^-N; at
+    x = 3^-(N+1) it is exactly 3^-N.
+    """
+    return SeriesTruncation(terms, 1.5 * 3.0 ** (-terms))
 
 def binary_truncation(terms: int = BINARY_TERMS) -> SeriesTruncation:
     """Truncation for the Takagi series: phi <= 1/2, tail <= 2^-N."""
@@ -70,38 +82,22 @@ def kobayashi_truncation(a: float, terms: int = TERNARY_TERMS) -> SeriesTruncati
 
 def kobayashi_terms_for(a: float, target: float) -> int:
     """Smallest term count whose tail bound is <= target."""
-    r = contraction_ratio(a)
     n = TERNARY_TERMS
     while kobayashi_truncation(a, n).tail_bound > target:
         n += max(8, n // 4)
     return n
 
 
-@dataclass(frozen=True)
-class OkamotoParams:
-    """Family parameter a with its derived contraction data."""
-
-    a: float
-
-    def __post_init__(self):
-        if not 0 < self.a < 1:
-            raise DomainError(f"parameter a={self.a} outside (0, 1)")
-
-    @property
-    def contraction(self) -> float:
-        return contraction_ratio(self.a)
-
-    @property
-    def p(self) -> tuple[float, float, float]:
-        return (self.a, 1 - 2 * self.a, self.a)
-
-    @property
-    def q(self) -> tuple[float, float, float]:
-        return (0.0, self.a, 1 - self.a)
-
-
 # ---------------------------------------------------------------------------
 # elementary building blocks
+
+
+def _unit_array(xs) -> np.ndarray:
+    """xs as a float64 array, checked to lie in [0, 1]."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs >= 0) & (xs <= 1)):
+        raise DomainError("point outside [0, 1]")
+    return xs
 
 
 def tent_phi(x: float) -> float:
@@ -167,6 +163,20 @@ def takagi(x: float, trunc: SeriesTruncation | None = None) -> float:
     return total
 
 
+def takagi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
+    """``takagi`` at every point of xs, bit-identical to the scalar route."""
+    y = _unit_array(xs)
+    trunc = trunc or binary_truncation()
+    total = np.zeros_like(y)
+    w = 1.0
+    for _ in range(trunc.terms):
+        f = y - np.floor(y)
+        total += w * np.minimum(f, 1.0 - f)
+        y = (2 * y) % 1.0
+        w *= 0.5
+    return total
+
+
 def lebesgue_L(a: float, x: float, depth: int = 60) -> float:
     """Binary self-affine singular function via its two-branch recursion.
 
@@ -190,6 +200,22 @@ def lebesgue_L(a: float, x: float, depth: int = 60) -> float:
             scale *= 1 - a
             t = 2 * t - 1
         t = min(1.0, max(0.0, t))
+    return shift + scale * t
+
+
+def lebesgue_L_array(a: float, xs, depth: int = 60) -> np.ndarray:
+    """``lebesgue_L`` at every point of xs, bit-identical to the scalar route."""
+    if not 0 < a < 1:
+        raise DomainError(f"parameter a={a} outside (0, 1)")
+    t = _unit_array(xs)
+    shift = np.zeros_like(t)
+    scale = np.ones_like(t)
+    for _ in range(depth):
+        left = t <= 0.5
+        shift = np.where(left, shift, shift + scale * a)
+        scale = np.where(left, scale * a, scale * (1 - a))
+        t = np.where(left, 2 * t, 2 * t - 1)
+        t = np.minimum(1.0, np.maximum(0.0, t))
     return shift + scale * t
 
 
@@ -292,6 +318,28 @@ def okamoto_series(
     return total
 
 
+def okamoto_series_array(
+    a: float, xs, trunc: SeriesTruncation | None = None
+) -> np.ndarray:
+    """Float-digit ``okamoto_series`` at every point of xs, bit-identical."""
+    if not 0 < a < 1:
+        raise DomainError(f"parameter a={a} outside (0, 1)")
+    y = _unit_array(xs)
+    trunc = trunc or kobayashi_truncation(a)
+    p = np.array((a, 1 - 2 * a, a))
+    q = np.array((0.0, a, 1 - a))
+    total = np.zeros_like(y)
+    prod = np.ones_like(y)
+    for _ in range(trunc.terms):
+        y3 = 3 * y
+        d = np.minimum(2.0, np.floor(y3))
+        y = y3 - d
+        k = d.astype(np.intp)
+        total += prod * q[k]
+        prod *= p[k]
+    return total
+
+
 def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
     """F_a via its three-branch functional equation, ``depth`` levels deep.
 
@@ -336,6 +384,23 @@ def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
     w = 1.0
     for _ in range(trunc.terms):
         total += w * big_phi(y)
+        y = (3 * y) % 1.0
+        w /= 3.0
+    return total
+
+
+def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
+    """``k_series_phi`` at every point of xs, bit-identical to the scalar route."""
+    x = _unit_array(xs)
+    trunc = trunc or ternary_truncation()
+    total = np.zeros_like(x)
+    y = np.where(x != 1.0, x - np.floor(x), 1.0)
+    w = 1.0
+    for _ in range(trunc.terms):
+        f = y - np.floor(y)
+        total += w * np.where(
+            f <= 1 / 3, 3 * f, np.where(f <= 2 / 3, 3 * (1 - 2 * f), 3 * (f - 1))
+        )
         y = (3 * y) % 1.0
         w /= 3.0
     return total
@@ -453,17 +518,15 @@ def dFa_da_fd(
 
 def hata_yamaguti_residual(grid: int = 100, h: float = 1e-6, depth: int = 60) -> float:
     """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|."""
-    worst = 0.0
-    trunc = binary_truncation()
-    for i in range(grid + 1):
-        x = i / grid
-        fd = (lebesgue_L(0.5 + h, x, depth) - lebesgue_L(0.5 - h, x, depth)) / (2 * h)
-        worst = max(worst, abs(fd - 2 * takagi(x, trunc)))
-    return worst
+    xs = sample_grid(grid + 1)
+    hi = lebesgue_L_array(0.5 + h, xs, depth)
+    lo = lebesgue_L_array(0.5 - h, xs, depth)
+    fd = (hi - lo) / (2 * h)
+    return float(np.max(np.abs(fd - 2 * takagi_array(xs))))
 
 
-def sample_grid(n: int) -> Sequence[float]:
-    """n evenly spaced points covering [0, 1] inclusive."""
+def sample_grid(n: int) -> np.ndarray:
+    """n evenly spaced points covering [0, 1] inclusive; point i is i / (n - 1)."""
     if n < 2:
-        raise DomainError("need at least 2 samples")
-    return [i / (n - 1) for i in range(n)]
+        raise DomainError("need at least 2 grid points")
+    return np.arange(n) / (n - 1)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from okamoto_k.cli import main
+from okamoto_k.cli import _csv_points, _json_doc, _svg_points, main
+from okamoto_k.functions import k_series_phi, okamoto_series
 
 
 def run(capsys, *argv):
@@ -59,6 +60,47 @@ class TestEval:
     def test_bad_parameter(self, capsys):
         code, _, _ = run(capsys, "eval", "--fn", "lebesgue", "--a", "1.5", "--samples", "3")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["--fn", "Kn", "--level", "-1"], ["--fn", "K", "--terms", "-1"]]
+    )
+    def test_no_terms_left(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv, "--samples", "3")
+        assert code == 3
+        assert out == ""
+        assert "error" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize(
+        "fn,a,route,yrange",
+        [
+            ("okamoto", 0.7, lambda x: okamoto_series(0.7, x), (0.0, 1.0)),
+            ("K", 1 / 3, k_series_phi, (-1.5, 1.5)),
+        ],
+    )
+    def test_bytes_match_scalar_routes(self, capsys, fmt, fn, a, route, yrange):
+        n = 3**5 + 1
+        code, out, _ = run(
+            capsys, "eval", "--fn", fn, "--a", repr(a), "--samples", str(n),
+            "--format", fmt,
+        )
+        assert code == 0
+        points = [(x, route(x)) for x in (i / (n - 1) for i in range(n))]
+        if fmt == "csv":
+            want = _csv_points(points)
+        elif fmt == "json":
+            want = _json_doc(
+                {
+                    "command": "eval",
+                    "fn": fn,
+                    "a": a,
+                    "samples": n,
+                    "points": [[x, v] for x, v in points],
+                }
+            )
+        else:
+            want = _svg_points(points, *yrange)
+        assert out == want
 
 
 class TestConstruct:
@@ -131,6 +173,13 @@ class TestExperiment:
         )
         doc = json.loads(out)
         assert doc["results"]["violations"] == 0
+
+    @pytest.mark.parametrize("levels", ["2", "3"])
+    def test_box_dim_too_few_levels_to_fit(self, capsys, levels):
+        code, out, err = run(capsys, "experiment", "box-dim", "--levels", levels)
+        assert code == 3
+        assert out == ""
+        assert "fewer than two" in err
 
     def test_box_dim_report(self, capsys):
         code, out, _ = run(

@@ -1,10 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import okamoto_k
+from okamoto_k import derivative
 from okamoto_k.derivative import (
     DerivativeClass,
     billingsley_divergence_witness,
@@ -18,7 +26,7 @@ from okamoto_k.derivative import (
     sigma_fuzz,
     walk_trace,
 )
-from okamoto_k.errors import DomainError
+from okamoto_k.errors import DomainError, ProofCheckError
 from okamoto_k.ternary import (
     DigitSeq,
     digit_frequency,
@@ -171,6 +179,37 @@ class TestSigmaDecomposition:
         report = sigma_fuzz(500, seed=11)
         assert report["violations"] == 0
         assert sum(report["cases"].values()) == 500
+
+    def test_sandwich_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(derivative, "_f_weight_loose", lambda x, a, b: 10**6)
+        with pytest.raises(ProofCheckError, match="outside"):
+            sigma_decompose(Fraction(0), Fraction(1, 27))
+
+    def test_fuzz_counts_violations_under_optimize(self):
+        # python -O strips assert statements; the bound checks must survive
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from okamoto_k import derivative
+
+            derivative._f_weight_loose = lambda x, a, b: 10**6  # sandwich far off
+            report = derivative.sigma_fuzz(40, seed=3)
+            print(json.dumps({"optimize": sys.flags.optimize, **report}))
+            """
+        )
+        src = str(Path(okamoto_k.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["optimize"] == 1
+        assert doc["violations"] == doc["trials"] == 40
 
     def test_case_one_sigma1_is_digit_weight(self):
         rng = np.random.Generator(np.random.Philox(key=5))

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,18 +14,24 @@ from okamoto_k.functions import (
     big_phi_exact,
     binary_truncation,
     dFa_da_fd,
+    hata_yamaguti_residual,
     k_exact,
     k_fe,
     k_series_digits,
     k_series_phi,
+    k_series_phi_array,
     kobayashi_terms_for,
     kobayashi_truncation,
     lebesgue_L,
+    lebesgue_L_array,
     okamoto_fe,
     okamoto_iterative,
     okamoto_series,
+    okamoto_series_array,
+    sample_grid,
     shift_psi,
     takagi,
+    takagi_array,
     tent_phi,
     ternary_truncation,
 )
@@ -65,6 +73,16 @@ class TestBuildingBlocks:
             SeriesTruncation(0, 0.1)
         with pytest.raises(DomainError):
             SeriesTruncation(5, -1.0)
+
+    @pytest.mark.parametrize("terms", range(1, 6))
+    def test_ternary_tail_bound_is_reached(self, terms):
+        # at x = 3^-(N+1) every dropped term but one vanishes, and that
+        # one has Phi = 1: the tail is exactly 3^-N
+        x = Fraction(1, 3 ** (terms + 1))
+        kept = sum(Fraction(1, 3**n) * big_phi_exact(3**n * x) for n in range(terms))
+        tail = k_exact(x) - kept
+        assert tail == Fraction(1, 3**terms)
+        assert tail <= ternary_truncation(terms).tail_bound
 
 
 class TestTakagi:
@@ -258,3 +276,80 @@ class TestParameterDerivative:
         plain = abs(dFa_da_fd(1 / 3, 0.7, 1e-3) - k_series_phi(0.7))
         extrap = abs(dFa_da_fd(1 / 3, 0.7, 1e-3, richardson=True) - k_series_phi(0.7))
         assert extrap <= plain + 1e-12
+
+
+def _twins(array_route, scalar_route, *args, **kwargs):
+    return partial(array_route, *args, **kwargs), partial(scalar_route, *args, **kwargs)
+
+
+# the routes and arguments behind each `eval --fn`; Kn at level n is K with
+# n + 1 terms
+TWINS = {
+    "okamoto-0.3": _twins(okamoto_series_array, okamoto_series, 0.3),
+    "okamoto-0.7": _twins(okamoto_series_array, okamoto_series, 0.7),
+    "okamoto-0.9": _twins(okamoto_series_array, okamoto_series, 0.9),
+    "K": _twins(k_series_phi_array, k_series_phi),
+    "K-terms-5": _twins(k_series_phi_array, k_series_phi, trunc=ternary_truncation(5)),
+    "Kn-0": _twins(k_series_phi_array, k_series_phi, trunc=ternary_truncation(1)),
+    "Kn-3": _twins(k_series_phi_array, k_series_phi, trunc=ternary_truncation(4)),
+    "Kn-10": _twins(k_series_phi_array, k_series_phi, trunc=ternary_truncation(11)),
+    "takagi": _twins(takagi_array, takagi),
+    "lebesgue-1/3": _twins(lebesgue_L_array, lebesgue_L, 1 / 3),
+    "lebesgue-0.8": _twins(lebesgue_L_array, lebesgue_L, 0.8),
+}
+
+# the floats nearest 1/3, 2/3 and 1, where the digit branches tie
+NEAR_TIES = [
+    v
+    for c in (1 / 3, 2 / 3, 1.0)
+    for v in (math.nextafter(c, 0), c, math.nextafter(c, 2))
+    if v <= 1
+]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestArrayRoutes:
+    @pytest.mark.parametrize("n", [2, 3, 1001, 3**7 + 1])
+    def test_sample_grid_is_exact_division(self, n):
+        assert _bits(sample_grid(n)) == _bits([i / (n - 1) for i in range(n)])
+
+    @pytest.mark.parametrize("n", [2, 3, 1001, 3**7 + 1])
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_grid_bit_identical_to_scalar(self, name, n):
+        array_route, scalar_route = TWINS[name]
+        xs = sample_grid(n)
+        assert _bits(array_route(xs)) == _bits([scalar_route(x) for x in xs.tolist()])
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_near_ties_bit_identical_to_scalar(self, name):
+        array_route, scalar_route = TWINS[name]
+        got = array_route(np.array(NEAR_TIES))
+        assert _bits(got) == _bits([scalar_route(x) for x in NEAR_TIES])
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_domain(self, name):
+        array_route, _ = TWINS[name]
+        with pytest.raises(DomainError):
+            array_route(np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            array_route(np.array([np.nan]))
+
+    def test_parameter_domain(self):
+        with pytest.raises(DomainError):
+            okamoto_series_array(1.0, np.array([0.5]))
+        with pytest.raises(DomainError):
+            lebesgue_L_array(0.0, np.array([0.5]))
+
+    def test_hata_yamaguti_matches_scalar_loop(self):
+        grid, h, depth = 100, 1e-6, 60
+        worst = 0.0
+        for i in range(grid + 1):
+            x = i / grid
+            fd = (lebesgue_L(0.5 + h, x, depth) - lebesgue_L(0.5 - h, x, depth)) / (2 * h)
+            worst = max(worst, abs(fd - 2 * takagi(x)))
+        assert hata_yamaguti_residual(grid, h, depth) == worst
+        with pytest.raises(DomainError):
+            hata_yamaguti_residual(0)
