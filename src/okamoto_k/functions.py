@@ -163,13 +163,12 @@ def takagi(x: float, trunc: SeriesTruncation | None = None) -> float:
     return total
 
 
-def takagi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
+def takagi_array(xs) -> np.ndarray:
     """``takagi`` at every point of xs, bit-identical to the scalar route."""
     y = _unit_array(xs)
-    trunc = trunc or binary_truncation()
     total = np.zeros_like(y)
     w = 1.0
-    for _ in range(trunc.terms):
+    for _ in range(binary_truncation().terms):
         f = y - np.floor(y)
         total += w * np.minimum(f, 1.0 - f)
         y = (2 * y) % 1.0
@@ -318,19 +317,16 @@ def okamoto_series(
     return total
 
 
-def okamoto_series_array(
-    a: float, xs, trunc: SeriesTruncation | None = None
-) -> np.ndarray:
+def okamoto_series_array(a: float, xs) -> np.ndarray:
     """Float-digit ``okamoto_series`` at every point of xs, bit-identical."""
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
     y = _unit_array(xs)
-    trunc = trunc or kobayashi_truncation(a)
     p = np.array((a, 1 - 2 * a, a))
     q = np.array((0.0, a, 1 - a))
     total = np.zeros_like(y)
     prod = np.ones_like(y)
-    for _ in range(trunc.terms):
+    for _ in range(kobayashi_truncation(a).terms):
         y3 = 3 * y
         d = np.minimum(2.0, np.floor(y3))
         y = y3 - d
@@ -391,10 +387,9 @@ def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
 
 def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
     """``k_series_phi`` at every point of xs, bit-identical to the scalar route."""
-    x = _unit_array(xs)
+    y = _unit_array(xs)
     trunc = trunc or ternary_truncation()
-    total = np.zeros_like(x)
-    y = np.where(x != 1.0, x - np.floor(x), 1.0)
+    total = np.zeros_like(y)
     w = 1.0
     for _ in range(trunc.terms):
         f = y - np.floor(y)

@@ -316,18 +316,15 @@ class TestArrayRoutes:
     def test_sample_grid_is_exact_division(self, n):
         assert _bits(sample_grid(n)) == _bits([i / (n - 1) for i in range(n)])
 
-    @pytest.mark.parametrize("n", [2, 3, 1001, 3**7 + 1])
+    @pytest.mark.parametrize(
+        "xs",
+        [sample_grid(n) for n in (2, 3, 1001, 3**7 + 1)] + [np.array(NEAR_TIES)],
+        ids=["n2", "n3", "n1001", "n2188", "near-ties"],
+    )
     @pytest.mark.parametrize("name", sorted(TWINS))
-    def test_grid_bit_identical_to_scalar(self, name, n):
+    def test_grid_bit_identical_to_scalar(self, name, xs):
         array_route, scalar_route = TWINS[name]
-        xs = sample_grid(n)
         assert _bits(array_route(xs)) == _bits([scalar_route(x) for x in xs.tolist()])
-
-    @pytest.mark.parametrize("name", sorted(TWINS))
-    def test_near_ties_bit_identical_to_scalar(self, name):
-        array_route, scalar_route = TWINS[name]
-        got = array_route(np.array(NEAR_TIES))
-        assert _bits(got) == _bits([scalar_route(x) for x in NEAR_TIES])
 
     @pytest.mark.parametrize("name", sorted(TWINS))
     def test_domain(self, name):
