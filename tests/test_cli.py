@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from okamoto_k.cli import _csv_points, _json_doc, _svg_points, main
+from okamoto_k import cli, functions
+from okamoto_k.cli import _csv_points, _json_doc, _json_points_doc, _svg_points, main
 from okamoto_k.functions import k_series_phi, okamoto_series
 
 
@@ -78,7 +79,13 @@ class TestEval:
             ("K", 1 / 3, k_series_phi, (-1.5, 1.5)),
         ],
     )
-    def test_bytes_match_scalar_routes(self, capsys, fmt, fn, a, route, yrange):
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+    def test_bytes_match_scalar_routes(
+        self, capsys, monkeypatch, fmt, fn, a, route, yrange, block
+    ):
+        if block:
+            monkeypatch.setattr(cli, "_POINT_BLOCK", block)
+            monkeypatch.setattr(functions, "_BLOCK", block)
         n = 3**5 + 1
         code, out, _ = run(
             capsys, "eval", "--fn", fn, "--a", repr(a), "--samples", str(n),
@@ -101,6 +108,16 @@ class TestEval:
         else:
             want = _svg_points(points, *yrange)
         assert out == want
+
+
+def test_json_points_doc_matches_json_dumps():
+    points = [
+        (0.0, -0.0), (5e-324, 1e-300), (1e-7, 1 / 3), (0.1 + 0.2, 1e16),
+        (1.0, -1.5), (123456789.0, 1e22),
+    ]
+    payload = {"command": "eval", "fn": "K", "a": 0.1, "samples": len(points)}
+    want = _json_doc({**payload, "points": [[x, v] for x, v in points]})
+    assert _json_points_doc(payload, points) == want
 
 
 class TestConstruct:

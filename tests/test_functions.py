@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okamoto_k import functions
 from okamoto_k.errors import ContractionError, DomainError, ResourceLimitError
 from okamoto_k.functions import (
     SeriesTruncation,
@@ -322,7 +323,10 @@ class TestArrayRoutes:
         ids=["n2", "n3", "n1001", "n2188", "near-ties"],
     )
     @pytest.mark.parametrize("name", sorted(TWINS))
-    def test_grid_bit_identical_to_scalar(self, name, xs):
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+    def test_grid_bit_identical_to_scalar(self, name, xs, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(functions, "_BLOCK", block)
         array_route, scalar_route = TWINS[name]
         assert _bits(array_route(xs)) == _bits([scalar_route(x) for x in xs.tolist()])
 
