@@ -60,11 +60,9 @@ from .functions import (
 )
 from .ternary import (
     DigitSeq,
-    DigitStats,
     count_digit,
     digit_at,
     digit_frequency,
-    digit_stats,
     expand_rational,
     f_weight,
     walk_value,

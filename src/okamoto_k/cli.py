@@ -79,7 +79,8 @@ def _grid_points(xs, values) -> Iterator[tuple[float, float]]:
 def _csv_points(points: Iterable[tuple[float, float]]) -> str:
     lines = ["x,value"]
     lines.extend(f"{x:.12g},{v:.12g}" for x, v in points)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _svg_points(points: Iterable[tuple[float, float]], ylo: float, yhi: float) -> str:

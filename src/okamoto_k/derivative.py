@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ProofCheckError, RangeError
-from .functions import big_phi_exact, k_exact
-from .ternary import (
-    DigitSeq,
-    count_digit,
-    digit_at,
-    expand_rational,
-    walk_value,
-)
+from .functions import _k_terms, _ternary_order, k_exact
+from .ternary import DigitSeq, digit_at, expand_rational, walk_value
 
 
 class DerivativeClass(enum.Enum):
@@ -147,25 +141,6 @@ def billingsley_divergence_witness(x: DigitSeq, n: int) -> DivergenceWitness:
 # the four-part decomposition of a difference quotient of K
 
 
-def _ternary_order(x: Fraction) -> int:
-    """m such that 3**m * x is an integer; error if no such m exists."""
-    q = x.denominator
-    m = 0
-    while q % 3 == 0:
-        q //= 3
-        m += 1
-    if q != 1:
-        raise DomainError(f"{x} is not a ternary rational")
-    return m
-
-
-def _f_weight_loose(x: DigitSeq, a: int, b: int) -> int:
-    """f(a, b), with an empty range counting as 0."""
-    if a > b:
-        return 0
-    return 3 * (b - a + 1) - 9 * count_digit(x, 1, a, b)
-
-
 @dataclass(frozen=True)
 class SigmaDecomposition:
     """Exact split of (K(x+h) - K(x)) / h into the four proof sums.
@@ -195,10 +170,13 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     """Decompose the difference quotient of K at exact ternary rationals.
 
     Requires 0 <= x < x+h < 1 with both endpoints ternary rationals, so
-    all sums are finite and exact.  Checks the exact sum and the proof's
-    bounds: sigma2 in [-6, 3], |sigma4| <= 9, and the case-appropriate
-    sandwich around the digit weight of x; raises ProofCheckError if one
-    fails, also under ``python -O``.
+    all sums are finite and exact.  With order m, x = i / 3**m and
+    h = j / 3**m, level n contributes (T_n(i + j) - T_n(i)) / j, where
+    T_n(k) = 3**m * 3**-n * Phi(3**n * k / 3**m) is an integer; each sigma
+    is an integer sum over j.  Checks the exact sum against ``k_exact`` and
+    the proof's bounds: sigma2 in [-6, 3], |sigma4| <= 9, and the
+    case-appropriate sandwich around the digit weight f(1, n) = 3 W(n) of
+    x; raises ProofCheckError if one fails, also under ``python -O``.
     """
     x = Fraction(x)
     h = Fraction(h)
@@ -207,9 +185,12 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     if not (0 <= x and x + h < 1):
         raise DomainError("need 0 <= x < x + h < 1")
     order = max(_ternary_order(x), _ternary_order(x + h))
+    scale = 3**order
+    i = x.numerator * (scale // x.denominator)
+    j = h.numerator * (scale // h.denominator)
 
-    p = 1
-    while Fraction(1, 3**p) > h:
+    p = 1  # smallest p with 3**-p <= h
+    while 3 ** (order - p) > j:
         p += 1
 
     dx = expand_rational(x)
@@ -220,32 +201,28 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     if k0 > p - 1:
         raise DomainError("shared prefix exceeds p - 1; inconsistent inputs")
 
-    def d_term(n: int) -> Fraction:
-        num = big_phi_exact(3**n * (x + h)) - big_phi_exact(3**n * x)
-        return num / (3**n * h)
-
-    sigma1 = sum((d_term(n) for n in range(k0)), Fraction(0))
-    sigma2 = d_term(k0)
-    sigma3 = sum((d_term(n) for n in range(k0 + 1, p - 1)), Fraction(0))
+    diffs = [b - a for a, b in zip(_k_terms(i, order), _k_terms(i + j, order))]
     tail_start = max(p - 1, k0 + 1)
-    sigma4 = sum((d_term(n) for n in range(tail_start, order)), Fraction(0))
+    parts = (
+        sum(diffs[:k0]),
+        diffs[k0],
+        sum(diffs[k0 + 1 : p - 1]),
+        sum(diffs[tail_start:]),
+    )
+    sigma1, sigma2, sigma3, sigma4 = (Fraction(s, j) for s in parts)
 
     quotient = (k_exact(x + h) - k_exact(x)) / h
-    if sigma1 + sigma2 + sigma3 + sigma4 != quotient:
+    if Fraction(sum(parts), j) != quotient:
         raise ProofCheckError(f"sigma sum differs from the quotient {quotient}")
 
     if k0 <= p - 3:
-        case_tag = "k0<=p-3"
-        ref = _f_weight_loose(dx, 1, p - 1)
-        low, high = ref - 27, ref + 18
+        case_tag, n, below, above = "k0<=p-3", p - 1, 27, 18
     elif k0 == p - 2:
-        case_tag = "k0==p-2"
-        ref = _f_weight_loose(dx, 1, p - 2)
-        low, high = ref - 15, ref + 12
+        case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
     else:
-        case_tag = "k0==p-1"
-        ref = _f_weight_loose(dx, 1, p - 1)
-        low, high = ref - 15, ref + 12
+        case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
+    ref = 3 * walk_value(dx, n)  # the digit weight f(1, n) of x
+    low, high = ref - below, ref + above
 
     if not -6 <= sigma2 <= 3:
         raise ProofCheckError(f"sigma2 = {sigma2} outside [-6, 3]")

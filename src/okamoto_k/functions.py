@@ -452,15 +452,8 @@ def k_series_digits(x: DigitSeq, trunc: SeriesTruncation | None = None) -> float
     return total
 
 
-def k_exact(x: Fraction) -> Fraction:
-    """Exact rational K at a ternary rational k / 3**m.
-
-    The sawtooth series terminates after m terms there, so the value is a
-    finite exact sum; this is the oracle for every float route.
-    """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+def _ternary_order(x: Fraction) -> int:
+    """m such that 3**m * x is an integer; error if no such m exists."""
     q = x.denominator
     m = 0
     while q % 3 == 0:
@@ -468,12 +461,43 @@ def k_exact(x: Fraction) -> Fraction:
         m += 1
     if q != 1:
         raise DomainError(f"{x} is not a ternary rational")
-    total = Fraction(0)
-    y = x
-    for n in range(m):
-        total += Fraction(1, 3**n) * big_phi_exact(y)
-        y = 3 * y
-    return total
+    return m
+
+
+def _k_terms(k: int, m: int) -> list[int]:
+    """The terms 3**m * 3**-n * Phi(3**n * k / 3**m) for n = 0..m-1.
+
+    Each is an integer: with s = m - n and r = k mod 3**s, the term is
+    3**s * Phi(r / 3**s), branching as ``big_phi_exact`` does.
+    """
+    terms = []
+    q = 3**m
+    r = k % q
+    for _ in range(m):
+        r3 = 3 * r
+        if r3 <= q:
+            terms.append(r3)
+        elif r3 <= 2 * q:
+            terms.append(3 * q - 2 * r3)
+        else:
+            terms.append(r3 - 3 * q)
+        q //= 3
+        r %= q
+    return terms
+
+
+def k_exact(x: Fraction) -> Fraction:
+    """Exact rational K at a ternary rational k / 3**m.
+
+    The sawtooth series terminates after m terms there, and each term
+    scaled by 3**m is an integer, so the value is an integer sum over
+    3**m; this is the oracle for every float route.
+    """
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise DomainError(f"{x} outside [0, 1]")
+    m = _ternary_order(x)
+    return Fraction(sum(_k_terms(x.numerator, m)), 3**m)
 
 
 def k_fe(x: float, depth: int = TERNARY_TERMS) -> float:

@@ -14,20 +14,30 @@ from fractions import Fraction
 
 from .errors import DomainError, RangeError
 
-Rational = Fraction
+
+def _digits_value(digits: tuple[int, ...], lo: int, hi: int) -> int:
+    """The integer with base-3 digits digits[lo:hi], most significant first.
+
+    Halving the range keeps the cost near that of one multiplication of
+    the full-size integers, where digit-by-digit accumulation is quadratic.
+    """
+    if hi - lo <= 64:
+        value = 0
+        for d in digits[lo:hi]:
+            value = 3 * value + d
+        return value
+    mid = (lo + hi) // 2
+    high = _digits_value(digits, lo, mid)
+    return high * 3 ** (hi - mid) + _digits_value(digits, mid, hi)
 
 
 def _reconstruct(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Fraction:
-    acc = Fraction(0)
-    for i, d in enumerate(preperiod, start=1):
-        acc += Fraction(d, 3**i)
-    if period:
-        block = 0
-        for d in period:
-            block = 3 * block + d
-        length = len(period)
-        acc += Fraction(block, (3**length - 1) * 3 ** len(preperiod))
-    return acc
+    pre = _digits_value(preperiod, 0, len(preperiod))
+    if not period:
+        return Fraction(pre, 3 ** len(preperiod))
+    cycle = 3 ** len(period) - 1
+    block = _digits_value(period, 0, len(period))
+    return Fraction(pre * cycle + block, 3 ** len(preperiod) * cycle)
 
 
 @dataclass(frozen=True)
@@ -52,23 +62,8 @@ class DigitSeq:
         if _reconstruct(self.preperiod, self.period) != self.value:
             raise DomainError("digits do not reconstruct the stored value")
 
-    def digit(self, k: int) -> int:
-        return digit_at(self, k)
-
     def to_json(self) -> dict:
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
-
-
-@dataclass(frozen=True)
-class DigitStats:
-    """Occurrence counts of each digit over positions 1..n."""
-
-    n: int
-    counts: tuple[int, int, int]
-
-    def __post_init__(self):
-        if sum(self.counts) != self.n:
-            raise DomainError("digit counts must sum to n")
 
 
 def expand_rational(x: Fraction | int | str) -> DigitSeq:
@@ -140,15 +135,10 @@ def count_digit(x: DigitSeq, i: int, a: int, b: int) -> int:
     return _prefix_count(x, i, b) - _prefix_count(x, i, a - 1)
 
 
-def digit_stats(x: DigitSeq, n: int) -> DigitStats:
-    counts = tuple(_prefix_count(x, i, n) for i in (0, 1, 2))
-    return DigitStats(n, counts)  # type: ignore[arg-type]
-
-
 def walk_value(x: DigitSeq, n: int) -> int:
-    """W(n) = n - 3 * (number of 1's among the first n digits)."""
-    if n < 1:
-        raise RangeError("n must be >= 1")
+    """W(n) = n - 3 * (number of 1's among the first n digits); W(0) = 0."""
+    if n < 0:
+        raise RangeError("n must be >= 0")
     return n - 3 * _prefix_count(x, 1, n)
 
 

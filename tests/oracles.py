@@ -62,3 +62,67 @@ def takagi_quadrature_free(x: Fraction, terms: int = 200) -> Fraction:
         y = (2**n * x) % 1
         total += Fraction(1, 2**n) * min(y, 1 - y)
     return total
+
+
+def _sawtooth(y: Fraction) -> Fraction:
+    """Phi(y): 3f, 3 - 6f or 3f - 3 on the thirds of the fraction part f."""
+    f = y - y.numerator // y.denominator
+    if f <= Fraction(1, 3):
+        return 3 * f
+    if f <= Fraction(2, 3):
+        return 3 - 6 * f
+    return 3 * f - 3
+
+
+def sigma_split_fractions(x: Fraction, h: Fraction) -> dict:
+    """Every field of the Sigma1..Sigma4 split of (K(x+h) - K(x)) / h.
+
+    x and x + h < 1 are ternary rationals of order at most m, so K is the
+    finite sawtooth sum over levels n < m, here in Fraction arithmetic
+    level by level.  p is the least p >= 1 with 3^-p <= h, k0 the length
+    of the shared digit prefix (at most p), and the sandwich is centred on
+    3 W(n) of x, from digits by repeated multiplication.
+    """
+    y = x + h
+    m = 0
+    while (x * 3**m).denominator != 1 or (y * 3**m).denominator != 1:
+        m += 1
+
+    def k_value(z):
+        return sum((_sawtooth(3**n * z) / 3**n for n in range(m)), Fraction(0))
+
+    levels = [
+        (_sawtooth(3**n * y) - _sawtooth(3**n * x)) / (3**n * h) for n in range(m)
+    ]
+    p = 1
+    while Fraction(1, 3**p) > h:
+        p += 1
+    dx = naive_ternary_digits(x, p)
+    dy = naive_ternary_digits(y, p)
+    k0 = 0
+    while k0 < p and dx[k0] == dy[k0]:
+        k0 += 1
+
+    def three_walk(n):
+        return 3 * (n - 3 * dx[:n].count(1))
+
+    if k0 <= p - 3:
+        case_tag, ref, low, high = "k0<=p-3", three_walk(p - 1), -27, 18
+    elif k0 == p - 2:
+        case_tag, ref, low, high = "k0==p-2", three_walk(p - 2), -15, 12
+    else:
+        case_tag, ref, low, high = "k0==p-1", three_walk(p - 1), -15, 12
+    return {
+        "x": x,
+        "h": h,
+        "p": p,
+        "k0": k0,
+        "case_tag": case_tag,
+        "sigma1": sum(levels[:k0], Fraction(0)),
+        "sigma2": levels[k0],
+        "sigma3": sum(levels[k0 + 1 : p - 1], Fraction(0)),
+        "sigma4": sum(levels[max(p - 1, k0 + 1) :], Fraction(0)),
+        "quotient": (k_value(y) - k_value(x)) / h,
+        "sandwich_low": Fraction(ref + low),
+        "sandwich_high": Fraction(ref + high),
+    }

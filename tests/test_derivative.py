@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -34,6 +35,8 @@ from okamoto_k.ternary import (
     f_weight,
     walk_value,
 )
+
+from oracles import sigma_split_fractions
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=500)
 
@@ -181,7 +184,7 @@ class TestSigmaDecomposition:
         assert sum(report["cases"].values()) == 500
 
     def test_sandwich_violation_raises(self, monkeypatch):
-        monkeypatch.setattr(derivative, "_f_weight_loose", lambda x, a, b: 10**6)
+        monkeypatch.setattr(derivative, "walk_value", lambda x, n: 10**6)
         with pytest.raises(ProofCheckError, match="outside"):
             sigma_decompose(Fraction(0), Fraction(1, 27))
 
@@ -192,7 +195,7 @@ class TestSigmaDecomposition:
             import json, sys
             from okamoto_k import derivative
 
-            derivative._f_weight_loose = lambda x, a, b: 10**6  # sandwich far off
+            derivative.walk_value = lambda x, n: 10**6  # sandwich far off
             report = derivative.sigma_fuzz(40, seed=3)
             print(json.dumps({"optimize": sys.flags.optimize, **report}))
             """
@@ -210,6 +213,20 @@ class TestSigmaDecomposition:
         doc = json.loads(proc.stdout)
         assert doc["optimize"] == 1
         assert doc["violations"] == doc["trials"] == 40
+
+    def test_matches_fraction_oracle_on_all_order_4_pairs(self):
+        for i in range(81):
+            for j in range(1, 81 - i):
+                x, h = Fraction(i, 81), Fraction(j, 81)
+                dec = dataclasses.asdict(sigma_decompose(x, h))
+                assert dec == sigma_split_fractions(x, h), (x, h)
+
+    def test_matches_fraction_oracle_on_random_pairs(self):
+        rng = np.random.Generator(np.random.Philox(key=23))
+        for _ in range(500):
+            x, h = random_ternary_pair(rng, max_order=10)
+            dec = dataclasses.asdict(sigma_decompose(x, h))
+            assert dec == sigma_split_fractions(x, h), (x, h)
 
     def test_case_one_sigma1_is_digit_weight(self):
         rng = np.random.Generator(np.random.Philox(key=5))

@@ -202,6 +202,17 @@ class TestKRoutes:
         with pytest.raises(DomainError):
             k_exact(Fraction(1, 2))
 
+    @pytest.mark.parametrize("m", range(8))
+    def test_exact_matches_fraction_sawtooth_sum(self, m):
+        # the integer term loop against the Fraction sawtooth, every k / 3^m
+        for k in range(3**m + 1):
+            x = Fraction(k, 3**m)
+            want = sum(
+                (Fraction(1, 3**n) * big_phi_exact(3**n * x) for n in range(m)),
+                Fraction(0),
+            )
+            assert k_exact(x) == want, x
+
     def test_series_phi_values(self):
         assert k_series_phi(1 / 3) == pytest.approx(1.0, abs=1e-12)
         assert k_series_phi(2 / 3) == pytest.approx(-1.0, abs=1e-12)

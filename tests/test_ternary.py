@@ -10,7 +10,6 @@ from okamoto_k.ternary import (
     count_digit,
     digit_at,
     digit_frequency,
-    digit_stats,
     expand_rational,
     f_weight,
     walk_value,
@@ -104,6 +103,17 @@ class TestDigitSeqValidation:
         with pytest.raises(DomainError):
             DigitSeq((1,), (0,), Fraction(1, 2))
 
+    @pytest.mark.parametrize("x", [Fraction(7, 10**4), Fraction(7, 3 * 10**4)])
+    @pytest.mark.parametrize("pos", [0, 250, 499])
+    def test_long_period_changed_digit_rejected(self, x, pos):
+        # periods of 500 digits take the halving path of the reconstruction
+        seq = expand_rational(x)
+        assert DigitSeq(seq.preperiod, seq.period, seq.value) == seq
+        period = list(seq.period)
+        period[pos] = (period[pos] + 1) % 3
+        with pytest.raises(DomainError):
+            DigitSeq(seq.preperiod, tuple(period), seq.value)
+
 
 class TestDigitAt:
     def test_quarter_digits(self):
@@ -152,6 +162,11 @@ class TestWalkAndWeight:
         assert walk_value(expand_rational(Fraction(1, 2)), 4) == -8
         assert walk_value(expand_rational(Fraction(5, 9)), 3) == 0
 
+    def test_walk_starts_at_zero(self):
+        assert walk_value(expand_rational(Fraction(1, 2)), 0) == 0
+        with pytest.raises(RangeError):
+            walk_value(expand_rational(Fraction(1, 2)), -1)
+
     def test_f_weight_constant_digits(self):
         zero = expand_rational(Fraction(0))
         half = expand_rational(Fraction(1, 2))
@@ -164,12 +179,6 @@ class TestWalkAndWeight:
     def test_weight_is_three_times_walk(self, x, n):
         seq = expand_rational(x)
         assert f_weight(seq, 1, n) == 3 * walk_value(seq, n)
-
-    def test_stats_sum_to_n(self):
-        seq = expand_rational(Fraction(5, 9))
-        stats = digit_stats(seq, 10)
-        assert sum(stats.counts) == 10
-        assert stats.counts[1] == 1
 
 
 class TestDigitFrequency:
