@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -169,14 +170,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _reduced(num: int, den: int) -> str:
+    """num/den in lowest terms as "p/q", also when q is 1."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def _cmd_construct(args) -> int:
     a = _parse_rational(args.a)
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
     pl = okamoto_iterative(a, args.level)
     denom = 3**args.level
+    ord_den = pl.denominator
     if args.format == "csv":
-        points = [(k / denom, float(y)) for k, y in enumerate(pl.ordinates)]
+        # n / ord_den is correctly rounded: it equals float(Fraction(n, ord_den))
+        points = [(k / denom, n / ord_den) for k, n in enumerate(pl.numerators)]
         text = _csv_points(points)
     elif args.format == "json":
         text = _json_doc(
@@ -185,13 +194,11 @@ def _cmd_construct(args) -> int:
                 "a": str(a),
                 "level": args.level,
                 "breakpoints": [f"{k}/{denom}" for k in range(denom + 1)],
-                "ordinates": [
-                    f"{y.numerator}/{y.denominator}" for y in pl.ordinates
-                ],
+                "ordinates": [_reduced(n, ord_den) for n in pl.numerators],
             }
         )
     else:
-        points = [(k / denom, float(y)) for k, y in enumerate(pl.ordinates)]
+        points = [(k / denom, n / ord_den) for k, n in enumerate(pl.numerators)]
         text = _svg_points(points, 0.0, 1.0)
     _emit(text, _resolve_output(args.output))
     return 0

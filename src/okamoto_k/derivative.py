@@ -259,9 +259,15 @@ def random_ternary_pair(rng, max_order: int = 10) -> tuple[Fraction, Fraction]:
 
 
 def sigma_fuzz(trials: int, seed: int, max_order: int = 10) -> dict:
-    """Run the decomposition on random exact pairs; report bound violations."""
+    """Run the decomposition on random exact pairs; report bound violations.
+
+    The pairs come from ``Philox(key=seed)``; raises DomainError unless
+    0 <= seed < 2**128, the range of a Philox key.
+    """
     import numpy as np
 
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed {seed} outside [0, 2**128)")
     rng = np.random.Generator(np.random.Philox(key=seed))
     violations = 0
     cases = {"k0<=p-3": 0, "k0==p-2": 0, "k0==p-1": 0}

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, ResourceLimitError
 from .functions import okamoto_iterative
 
 LN3 = math.log(3.0)
@@ -50,7 +50,9 @@ def box_dimension_estimate(
 
     Columns align with the subdivision breakpoints, so the column extremes
     of the piecewise-linear graph are exact ordinate min/max; a box is
-    counted whenever the closed box meets the graph.  The dimension is the
+    counted whenever the closed box meets the graph.  The counts run on the
+    graph's integer numerators n / den: a column meets the boxes from
+    min(n) * 3^j // den to max(n) * 3^j // den.  The dimension is the
     slope of log N against log 3^j over levels >= fit_min_level (the
     coarsest scales are excluded as boundary-dominated).  Raises
     DomainError when fewer than two levels are left to fit.
@@ -63,17 +65,15 @@ def box_dimension_estimate(
     if max_level > cap_level:
         raise RangeError(f"max_level {max_level} exceeds cap {cap_level}")
     pl = okamoto_iterative(Fraction(a), max_level, cap=3**cap_level + 1)
-    ords = pl.ordinates
+    nums, den = pl.numerators, pl.denominator
     counts = []
     for j in range(1, max_level + 1):
         step = 3 ** (max_level - j)
         scale = 3**j
         total = 0
         for i in range(scale):
-            col = ords[i * step : (i + 1) * step + 1]
-            lo = min(col) * scale
-            hi = max(col) * scale
-            total += math.floor(hi) - math.floor(lo) + 1
+            col = nums[i * step : (i + 1) * step + 1]
+            total += max(col) * scale // den - min(col) * scale // den + 1
         counts.append(total)
     xs = np.array([j * LN3 for j in fit_levels])
     ys = np.array([math.log(counts[j - 1]) for j in fit_levels])
@@ -135,9 +135,27 @@ class WalkExperiment:
     mean_step_estimate: float
 
 
+# u = (raw >> 11) * 2**-53 is numpy's Philox double, so u < 1/3 exactly when
+# raw < ceil((1/3) * 2**53) << 11 (the product is exact in floats)
+_DOWN_RAW = np.uint64(math.ceil((1.0 / 3.0) * 2.0**53) << 11)
+_WALK_PREFIX = 256  # steps checked for a crossing before the whole path
+_WALK_HORIZON_CAP = 10**7  # steps per path: about 80 MB of draws
+
+
+def _check_seed(seed: int) -> None:
+    # a seed is the high word of each path's 128-bit Philox key
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed {seed} outside [0, 2**64)")
+
+
 def _path_rng(seed: int, index: int) -> np.random.Generator:
     # counter-based substream per path: order-independent and reproducible
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+
+
+def _crosses(down: np.ndarray) -> bool:
+    walk = np.cumsum(np.where(down, -2, 1))
+    return walk.min() <= 0 <= walk.max()
 
 
 def walk_monte_carlo(samples: int, horizon: int, seed: int) -> WalkExperiment:
@@ -146,19 +164,40 @@ def walk_monte_carlo(samples: int, horizon: int, seed: int) -> WalkExperiment:
     A path counts as crossing when W touches or passes 0, i.e. when
     min W <= 0 <= max W over the horizon (W never starts at 0, so this
     captures a genuine change of sign or a touch of 0).
+
+    Path i draws ``horizon`` uniforms u from its own substream
+    ``Philox(key=(seed << 64) + i)`` and steps down when u < 1/3.  The
+    comparison is made on the raw 64-bit words, ``raw < _DOWN_RAW``, which
+    is the same test on the same stream without the doubles.  The step
+    total of a path is exactly ``horizon - 3 * downs``.  The crossing is
+    decided on the first ``_WALK_PREFIX`` steps, and the whole path is
+    summed only when they do not cross (about 5% of paths at the default
+    horizon), which gives the same verdict since a prefix that crosses
+    means the path crosses.  Raises DomainError unless 0 <= seed < 2**64,
+    and ResourceLimitError for a horizon above ``_WALK_HORIZON_CAP``,
+    before anything is drawn.
     """
     if samples < 1 or horizon < 1:
         raise DomainError("need samples >= 1 and horizon >= 1")
+    _check_seed(seed)
+    if horizon > _WALK_HORIZON_CAP:
+        raise ResourceLimitError(
+            f"horizon {horizon} exceeds cap of {_WALK_HORIZON_CAP} steps"
+        )
+    # one bit generator, reset per path to the state of a fresh
+    # Philox(key=(seed << 64) + i): zero counter, empty buffer, key words
+    # (low, high) = (i, seed)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
     crossed = 0
-    step_total = 0.0
+    step_total = 0
     for i in range(samples):
-        rng = _path_rng(seed, i)
-        u = rng.random(horizon)
-        steps = np.where(u < 1.0 / 3.0, -2, 1)
-        walk = np.cumsum(steps)
-        if walk.min() <= 0 <= walk.max():
+        state["state"]["key"] = np.array([i, seed], dtype=np.uint64)
+        bitgen.state = state
+        down = bitgen.random_raw(horizon) < _DOWN_RAW
+        if _crosses(down[:_WALK_PREFIX]) or _crosses(down):
             crossed += 1
-        step_total += float(steps.sum())
+        step_total += horizon - 3 * int(np.count_nonzero(down))
     return WalkExperiment(
         sample_count=samples,
         horizon=horizon,
@@ -227,6 +266,7 @@ def frequency_set_members(
     """Digit-string samples whose empirical frequencies approach p."""
     if count < 1 or length < 1:
         raise DomainError("need count >= 1 and length >= 1")
+    _check_seed(seed)
     members = []
     c0 = p.p0
     c1 = p.p0 + p.p1

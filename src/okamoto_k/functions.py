@@ -252,31 +252,42 @@ def lebesgue_L_array(a: float, xs, depth: int = 60) -> np.ndarray:
 class PiecewiseLinear:
     """Level-n subdivision approximant with exact rational ordinates.
 
-    ``ordinates[k]`` is the value at breakpoint k / 3**level.
+    The ordinate at breakpoint k / 3**level is ``numerators[k] /
+    denominator``; with a = p/q every ordinate of level n is an integer over
+    ``q**n``, so the whole graph is held on integers.  ``ordinates`` gives
+    the same values as reduced ``Fraction``s.
     """
 
     level: int
     a: Fraction
-    ordinates: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
-        if len(self.ordinates) != 3**self.level + 1:
+        if len(self.numerators) != 3**self.level + 1:
             raise DomainError("ordinate count must be 3**level + 1")
+
+    @property
+    def ordinates(self) -> tuple[Fraction, ...]:
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
 
     def value_exact(self, x: Fraction) -> Fraction:
         """Exact interpolated value at rational x in [0, 1]."""
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise DomainError(f"{x} outside [0, 1]")
+        nums = self.numerators
         scaled = x * 3**self.level
         k = math.floor(scaled)
         if k == 3**self.level:
-            return self.ordinates[-1]
+            return Fraction(nums[-1], self.denominator)
         frac = scaled - k
-        return self.ordinates[k] + frac * (self.ordinates[k + 1] - self.ordinates[k])
+        return (nums[k] + frac * (nums[k + 1] - nums[k])) / self.denominator
 
     def __call__(self, x: float) -> float:
-        return float(self.value_exact(Fraction(x).limit_denominator(3**18)))
+        """The interpolated value at the exact rational value of the float x."""
+        return float(self.value_exact(Fraction(x)))
 
 
 def okamoto_iterative(
@@ -285,7 +296,10 @@ def okamoto_iterative(
     """Exact subdivision construction f_level of the family member.
 
     Each refinement replaces a segment by three, placing the interior
-    breakpoints at fractions a and 1-a of the segment's rise.
+    breakpoints at fractions a and 1-a of the segment's rise.  With
+    a = p/q and ordinates held as integers over q**n, one refinement maps
+    the numerators lo, hi of a segment to lo*q, lo*q + p*rise and
+    lo*q + (q-p)*rise over q**(n+1), where rise = hi - lo.
     """
     a = Fraction(a)
     if not 0 < a < 1:
@@ -294,16 +308,17 @@ def okamoto_iterative(
         raise DomainError("level must be >= 0")
     if 3**level + 1 > cap:
         raise ResourceLimitError(f"level {level} exceeds cap of {cap} breakpoints")
-    ords: list[Fraction] = [Fraction(0), Fraction(1)]
+    p, q = a.numerator, a.denominator
+    nums = [0, 1]
     for _ in range(level):
-        nxt: list[Fraction] = []
-        for k in range(len(ords) - 1):
-            lo, hi = ords[k], ords[k + 1]
+        nxt: list[int] = []
+        for lo, hi in zip(nums, nums[1:]):
             rise = hi - lo
-            nxt.extend((lo, lo + a * rise, lo + (1 - a) * rise))
-        nxt.append(ords[-1])
-        ords = nxt
-    return PiecewiseLinear(level, a, tuple(ords))
+            base = lo * q
+            nxt += (base, base + p * rise, base + (q - p) * rise)
+        nxt.append(nums[-1] * q)
+        nums = nxt
+    return PiecewiseLinear(level, a, tuple(nums), q**level)
 
 
 def _float_digits(x: float, n: int) -> list[int]:

@@ -2,15 +2,18 @@
 
 Everything here deliberately avoids the library's own code paths: digits
 come from plain long division, crossing probabilities from exhaustive
-enumeration, and entropy values from mpmath high-precision arithmetic.
+enumeration, entropy values from mpmath high-precision arithmetic, the
+subdivision graph from Fraction arithmetic, and walks from numpy doubles.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 def naive_ternary_digits(x: Fraction, n: int) -> list[int]:
@@ -126,3 +129,59 @@ def sigma_split_fractions(x: Fraction, h: Fraction) -> dict:
         "sandwich_low": Fraction(ref + low),
         "sandwich_high": Fraction(ref + high),
     }
+
+
+def walk_paths_doubles(
+    samples: int, horizon: int, seed: int, prefix: int = 256
+) -> tuple[int, int, int]:
+    """(crossed, late, step total) of the walk Monte Carlo, one path at a time.
+
+    Path i draws doubles u from Generator(Philox(key=(seed << 64) + i)),
+    steps -2 when u < 1/3 and +1 otherwise, and crosses when its whole
+    cumulative sum touches or passes 0.  ``late`` counts the crossing paths
+    whose first ``prefix`` steps do not cross.
+    """
+    crossed = late = total = 0
+    for i in range(samples):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + i))
+        steps = np.where(rng.random(horizon) < 1 / 3, -2, 1)
+        walk = np.cumsum(steps)
+        if walk.min() <= 0 <= walk.max():
+            crossed += 1
+            head = walk[:prefix]
+            late += not head.min() <= 0 <= head.max()
+        total += int(steps.sum())
+    return crossed, late, total
+
+
+def subdivision_fractions(a: Fraction, level: int) -> list[Fraction]:
+    """Ordinates of the level-n subdivision graph at k/3^n, in Fractions.
+
+    Each refinement replaces a segment from lo to hi by three, with interior
+    ordinates lo + a (hi - lo) and lo + (1 - a) (hi - lo).
+    """
+    ords = [Fraction(0), Fraction(1)]
+    for _ in range(level):
+        nxt = []
+        for lo, hi in zip(ords, ords[1:]):
+            nxt += [lo, lo + a * (hi - lo), lo + (1 - a) * (hi - lo)]
+        nxt.append(ords[-1])
+        ords = nxt
+    return ords
+
+
+def box_counts_fractions(ords: list[Fraction], level: int) -> list[int]:
+    """Closed 3^-j boxes met by the piecewise-linear graph, j = 1..level.
+
+    ords are the ordinates at k/3^level; a column of width 3^-j meets the
+    boxes from floor(3^j min) to floor(3^j max) of its ordinates.
+    """
+    counts = []
+    for j in range(1, level + 1):
+        step = 3 ** (level - j)
+        total = 0
+        for i in range(3**j):
+            col = ords[i * step : (i + 1) * step + 1]
+            total += math.floor(max(col) * 3**j) - math.floor(min(col) * 3**j) + 1
+        counts.append(total)
+    return counts

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from okamoto_k import cli, functions
+from okamoto_k import cli, dimension, functions
 from okamoto_k.cli import _csv_points, _json_doc, _json_points_doc, _svg_points, main
 from okamoto_k.functions import k_series_phi, okamoto_series
+
+from oracles import subdivision_fractions
 
 
 def run(capsys, *argv):
@@ -156,6 +159,34 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "--a", "2/5", "--level", "20")
         assert code == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize(
+        "a,level", [("2/5", 6), ("5/6", 2), ("7/9", 5), ("1/3", 3), ("3/4", 0)]
+    )
+    def test_bytes_match_fraction_subdivision(self, capsys, fmt, a, level):
+        code, out, _ = run(
+            capsys, "construct", "--a", a, "--level", str(level), "--format", fmt
+        )
+        assert code == 0
+        ords = subdivision_fractions(Fraction(a), level)
+        denom = 3**level
+        points = [(k / denom, float(y)) for k, y in enumerate(ords)]
+        if fmt == "csv":
+            want = _csv_points(points)
+        elif fmt == "json":
+            want = _json_doc(
+                {
+                    "command": "construct",
+                    "a": a,
+                    "level": level,
+                    "breakpoints": [f"{k}/{denom}" for k in range(denom + 1)],
+                    "ordinates": [f"{y.numerator}/{y.denominator}" for y in ords],
+                }
+            )
+        else:
+            want = _svg_points(points, 0.0, 1.0)
+        assert out == want
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -214,6 +245,44 @@ class TestExperiment:
         )
         doc = json.loads(out)
         assert 0 <= doc["results"]["crossing_fraction"] <= 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walk-mc", "--seed", "-1"],
+            ["walk-mc", "--seed", str(2**64)],
+            ["sigma-fuzz", "--seed", "-1"],
+            ["sigma-fuzz", "--seed", str(2**128)],
+        ],
+    )
+    def test_seed_outside_philox_key(self, capsys, argv):
+        code, out, err = run(
+            capsys, "experiment", *argv, "--samples", "5", "--horizon", "5",
+            "--trials", "5",
+        )
+        assert code == 3
+        assert out == ""
+        assert "seed" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["walk-mc", "--seed", str(2**64 - 1)], ["sigma-fuzz", "--seed", str(2**128 - 1)]],
+    )
+    def test_largest_seed_runs(self, capsys, argv):
+        code, _, _ = run(
+            capsys, "experiment", *argv, "--samples", "5", "--horizon", "5",
+            "--trials", "5",
+        )
+        assert code == 0
+
+    def test_walk_mc_horizon_cap(self, capsys):
+        horizon = dimension._WALK_HORIZON_CAP + 1
+        code, out, err = run(
+            capsys, "experiment", "walk-mc", "--samples", "1", "--horizon", str(horizon)
+        )
+        assert code == 4
+        assert out == ""
+        assert "cap" in err
 
     def test_hata_yamaguti_report(self, capsys):
         code, out, _ = run(capsys, "experiment", "hata-yamaguti", "--grid", "20")

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from okamoto_k import dimension
 from okamoto_k.dimension import (
     FrequencyTriple,
     a0_root,
@@ -14,9 +16,15 @@ from okamoto_k.dimension import (
     symmetric_triple,
     walk_monte_carlo,
 )
-from okamoto_k.errors import DomainError, RangeError
+from okamoto_k.errors import DomainError, RangeError, ResourceLimitError
 
-from oracles import crossing_probability_enum, entropy_dimension_mp
+from oracles import (
+    box_counts_fractions,
+    crossing_probability_enum,
+    entropy_dimension_mp,
+    subdivision_fractions,
+    walk_paths_doubles,
+)
 
 
 class TestBoxDimensionFormula:
@@ -57,6 +65,15 @@ class TestBoxDimensionEstimate:
     def test_level_cap(self):
         with pytest.raises(RangeError):
             box_dimension_estimate(Fraction(2, 3), 11)
+
+    @pytest.mark.parametrize(
+        "a,levels",
+        [("2/3", 8), ("1/3", 6), ("1/2", 6), ("2/5", 6), ("5/6", 7), ("7/9", 5)],
+    )
+    def test_counts_match_fraction_count(self, a, levels):
+        a = Fraction(a)
+        want = box_counts_fractions(subdivision_fractions(a, levels), levels)
+        assert list(box_dimension_estimate(a, levels).counts) == want
 
 
 class TestHausdorffFrequencyDim:
@@ -108,6 +125,61 @@ class TestWalkMonteCarlo:
     def test_mean_step_near_zero(self):
         exp = walk_monte_carlo(2000, 500, seed=9)
         assert abs(exp.mean_step_estimate) < 3 * math.sqrt(2) / math.sqrt(2000 * 500)
+
+    @pytest.mark.parametrize(
+        "samples,horizon,seed",
+        [
+            (500, 1, 3),
+            (400, 2, 0),
+            (2000, 256, 5),
+            (2000, 257, 5),
+            (3000, 3000, 11),
+            (300, 1000, 2**64 - 1),
+        ],
+    )
+    def test_matches_double_oracle(self, samples, horizon, seed):
+        crossed, late, total = walk_paths_doubles(samples, horizon, seed)
+        if (samples, horizon, seed) == (3000, 3000, 11):
+            assert late == 130  # paths that cross only after the prefix
+        exp = walk_monte_carlo(samples, horizon, seed)
+        assert exp.crossing_fraction == crossed / samples
+        assert exp.mean_step_estimate == total / (samples * horizon)
+
+    def test_raw_threshold_at_the_boundary_words(self, monkeypatch):
+        # each path draws the words next to the raw threshold, whose doubles
+        # (raw >> 11) * 2**-53 fall on both sides of 1/3
+        k = int(dimension._DOWN_RAW) >> 11
+        words = np.array(
+            [(k - 1) << 11, (k << 11) - 1, k << 11, (k + 1) << 11] * 3, dtype=np.uint64
+        )
+
+        class Words:
+            def __init__(self, key=0):
+                self.state = {"state": {"key": key}}
+
+            def random_raw(self, size):
+                return words[:size]
+
+        monkeypatch.setattr(dimension.np.random, "Philox", Words)
+        down = (words >> 11) * 2.0**-53 < 1 / 3
+        assert down.tolist() == [True, True, False, False] * 3
+        steps = np.where(down, -2, 1)
+        exp = walk_monte_carlo(3, len(words), seed=0)
+        assert exp.mean_step_estimate == steps.sum() / len(words)
+        walk = np.cumsum(steps)
+        assert exp.crossing_fraction == float(walk.min() <= 0 <= walk.max())
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_word(self, seed):
+        with pytest.raises(DomainError):
+            walk_monte_carlo(10, 10, seed)
+        with pytest.raises(DomainError):
+            frequency_set_members(symmetric_triple(0.2), 2, 10, seed)
+
+    def test_horizon_cap(self):
+        cap = dimension._WALK_HORIZON_CAP
+        with pytest.raises(ResourceLimitError):
+            walk_monte_carlo(1, cap + 1, seed=0)
 
     def test_matches_dp_probability(self):
         horizon = 100

@@ -38,7 +38,7 @@ from okamoto_k.functions import (
 )
 from okamoto_k.ternary import expand_rational
 
-from oracles import takagi_quadrature_free
+from oracles import subdivision_fractions, takagi_quadrature_free
 
 ternary_rationals = st.integers(0, 3**12).map(lambda k: Fraction(k, 3**12))
 
@@ -146,6 +146,27 @@ class TestOkamotoIterative:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             okamoto_iterative(Fraction(1, 2), 15)
+
+    @pytest.mark.parametrize("a", ["1/3", "1/2", "2/5", "2/3", "3/4", "7/9"])
+    def test_matches_fraction_subdivision(self, a):
+        a = Fraction(a)
+        for level in range(8):
+            pl = okamoto_iterative(a, level)
+            assert pl.denominator == a.denominator**level
+            assert pl.ordinates == tuple(subdivision_fractions(a, level))
+
+    def test_call_interpolates_at_the_float_exactly(self):
+        a = Fraction(2, 5)
+        level = 4
+        pl = okamoto_iterative(a, level)
+        ords = subdivision_fractions(a, level)
+        xs = [0.0, 1.0, 1 / 3, 2 / 3, 0.1, 0.5, 1 - 2**-53, 2**-1074]
+        xs += [k / 3**level for k in range(3**level + 1)]
+        for x in xs:
+            scaled = Fraction(x) * 3**level
+            k = min(math.floor(scaled), 3**level - 1)
+            want = ords[k] + (scaled - k) * (ords[k + 1] - ords[k])
+            assert pl(x) == float(want)
 
 
 class TestOkamotoEvaluators:
