@@ -23,7 +23,6 @@ class DerivativeClass(enum.Enum):
     PLUS_INFINITY = "PLUS_INFINITY"
     MINUS_INFINITY = "MINUS_INFINITY"
     NO_INFINITE_DERIVATIVE = "NO_INFINITE_DERIVATIVE"
-    INDETERMINATE = "INDETERMINATE"
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,6 @@ def classify_point(x: DigitSeq) -> DerivativeClass:
     if drift < 0:
         return DerivativeClass.MINUS_INFINITY
     return DerivativeClass.NO_INFINITE_DERIVATIVE
-
-
-def classify_by_frequency(p1: "float | Fraction") -> DerivativeClass:
-    """Verdict from the limiting frequency of the digit 1, when it exists.
-
-    Below 1/3 the walk drifts up, above 1/3 down; exactly 1/3 is the
-    boundary case the frequency alone cannot decide.
-    """
-    if not 0 <= p1 <= 1:
-        raise DomainError(f"frequency {p1} outside [0, 1]")
-    third = Fraction(1, 3)
-    if p1 < third:
-        return DerivativeClass.PLUS_INFINITY
-    if p1 > third:
-        return DerivativeClass.MINUS_INFINITY
-    return DerivativeClass.INDETERMINATE
 
 
 def secant_slope(x: DigitSeq, n: int) -> Fraction:

@@ -148,11 +148,6 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"seed {seed} outside [0, 2**64)")
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based substream per path: order-independent and reproducible
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
-
-
 def _crosses(down: np.ndarray) -> bool:
     walk = np.cumsum(np.where(down, -2, 1))
     return walk.min() <= 0 <= walk.max()
@@ -258,21 +253,3 @@ def a0_root(residual_tol: float = 1e-13, max_iter: int = 200) -> float:
         else:
             hi = mid
     return mid
-
-
-def frequency_set_members(
-    p: FrequencyTriple, count: int, length: int, seed: int
-) -> list[tuple[int, ...]]:
-    """Digit-string samples whose empirical frequencies approach p."""
-    if count < 1 or length < 1:
-        raise DomainError("need count >= 1 and length >= 1")
-    _check_seed(seed)
-    members = []
-    c0 = p.p0
-    c1 = p.p0 + p.p1
-    for i in range(count):
-        rng = _path_rng(seed, i)
-        u = rng.random(length)
-        digits = np.where(u < c0, 0, np.where(u < c1, 1, 2))
-        members.append(tuple(int(d) for d in digits))
-    return members

@@ -6,11 +6,7 @@ class DomainError(ValueError):
 
 
 class RangeError(ValueError):
-    """Malformed index range (e.g. a > b in a digit count)."""
-
-
-class ContractionError(DomainError):
-    """Series parameter |t| >= 1: the fixed-point series does not converge."""
+    """Digit position, level or horizon outside its allowed range."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -1,10 +1,10 @@
 """Evaluators for the self-affine function family and its companions.
 
-Covers the tent map phi, the signed sawtooth Phi, the ternary shift psi,
-the Takagi series T, the binary singular function L_a, the three-route
-family evaluators F_a (exact subdivision, digit series, functional
-equation), the parameter-derivative function K at a = 1/3 (four routes,
-one of them exact rational), the generic contraction-series solver, and a
+Covers the tent map phi, the signed sawtooth Phi, the Takagi series T,
+the binary singular function L_a, the three-route family evaluators F_a
+(exact subdivision, digit series, functional equation), the
+parameter-derivative function K at a = 1/3 (three routes: the sawtooth
+series, the digit series and the exact rational sum), and a
 finite-difference probe of dF_a/da.
 
 Every float evaluator carries an explicit truncation with a proven tail
@@ -28,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractionError, DomainError, ResourceLimitError
-from .ternary import DigitSeq, digit_at, expand_rational
+from .errors import DomainError, ResourceLimitError
+from .ternary import DigitSeq, digit_at
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50
@@ -74,9 +74,8 @@ def contraction_ratio(a: float) -> float:
 def kobayashi_truncation(a: float, terms: int = TERNARY_TERMS) -> SeriesTruncation:
     """Truncation for the digit series of F_a.
 
-    The n-th term is bounded by r(a)^(n-1) * max(a, 1-a), so the dropped
-    tail is at most r^(N) * max(a, 1-a) / (1 - r) ... using the first
-    omitted index n = N + 1 with product exponent n - 1 = N.
+    The n-th term is bounded by r(a)^(n-1) * max(a, 1-a), so the tail
+    dropped after N terms is at most r^N * max(a, 1-a) / (1 - r).
     """
     r = contraction_ratio(a)
     return SeriesTruncation(terms, r**terms * max(a, 1 - a) / (1 - r))
@@ -136,31 +135,6 @@ def big_phi(x: float) -> float:
     if f <= 2 / 3:
         return 3 * (1 - 2 * f)
     return 3 * (f - 1)
-
-
-def big_phi_exact(x: Fraction) -> Fraction:
-    """Exact rational value of the sawtooth at a rational point."""
-    f = x - math.floor(x)
-    if 3 * f <= 1:
-        return 3 * f
-    if 3 * f <= 2:
-        return 3 * (1 - 2 * f)
-    return 3 * (f - 1)
-
-
-def shift_psi(x: float) -> float:
-    """Ternary shift 3x mod 1, realized branchwise with first-match ties.
-
-    At branch endpoints the leftmost matching branch wins, so
-    shift_psi(1/3) = 1 and shift_psi(1) = 1.
-    """
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
-    if x <= 1 / 3:
-        return 3 * x
-    if x <= 2 / 3:
-        return 3 * x - 1
-    return 3 * x - 2
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +386,7 @@ def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the parameter derivative K at a = 1/3, four routes
+# the parameter derivative K at a = 1/3, three routes
 
 
 def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
@@ -483,7 +457,8 @@ def _k_terms(k: int, m: int) -> list[int]:
     """The terms 3**m * 3**-n * Phi(3**n * k / 3**m) for n = 0..m-1.
 
     Each is an integer: with s = m - n and r = k mod 3**s, the term is
-    3**s * Phi(r / 3**s), branching as ``big_phi_exact`` does.
+    3**s * Phi(r / 3**s), where a tie at 1/3 or 2/3 takes the left branch
+    of the sawtooth, as ``big_phi`` does.
     """
     terms = []
     q = 3**m
@@ -513,46 +488,6 @@ def k_exact(x: Fraction) -> Fraction:
         raise DomainError(f"{x} outside [0, 1]")
     m = _ternary_order(x)
     return Fraction(sum(_k_terms(x.numerator, m)), 3**m)
-
-
-def k_fe(x: float, depth: int = TERNARY_TERMS) -> float:
-    """K via its three-branch functional equation, recursing ``depth`` levels.
-
-    Base case 0; since |K| <= 3/2 the error is <= 1.5 * 3**-depth.
-    """
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
-    if depth == 0:
-        return 0.0
-    if x <= 1 / 3:
-        return k_fe(min(1.0, 3 * x), depth - 1) / 3 + 3 * x
-    if x <= 2 / 3:
-        return k_fe(min(1.0, 3 * x - 1), depth - 1) / 3 + 3 * (1 - 2 * x)
-    return k_fe(min(1.0, max(0.0, 3 * x - 2)), depth - 1) / 3 + 3 * (x - 1)
-
-
-def yamaguti_hata_solve(
-    t: float,
-    g: Callable[[float], float],
-    psi: Callable[[float], float],
-    x: float,
-    trunc: SeriesTruncation,
-) -> float:
-    """Unique bounded solution of F(x) - t*F(psi(x)) = g(x), as a series.
-
-    Evaluates sum_{n<N} t**n g(psi^(n)(x)); with a bound M on |g| the
-    dropped tail is at most M * |t|**N / (1 - |t|).
-    """
-    if abs(t) >= 1:
-        raise ContractionError(f"|t|={abs(t)} >= 1: series does not converge")
-    total = 0.0
-    y = x
-    w = 1.0
-    for _ in range(trunc.terms):
-        total += w * g(y)
-        y = psi(y)
-        w *= t
-    return total
 
 
 def dFa_da_fd(

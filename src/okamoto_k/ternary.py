@@ -124,37 +124,8 @@ def _prefix_count(x: DigitSeq, i: int, n: int) -> int:
     return total
 
 
-def count_digit(x: DigitSeq, i: int, a: int, b: int) -> int:
-    """Exact count of positions j in [a, b] with digit i."""
-    if i not in (0, 1, 2):
-        raise DomainError(f"digit {i} outside {{0,1,2}}")
-    if a < 1:
-        raise RangeError("positions are 1-based")
-    if a > b:
-        raise RangeError(f"empty range: a={a} > b={b}")
-    return _prefix_count(x, i, b) - _prefix_count(x, i, a - 1)
-
-
 def walk_value(x: DigitSeq, n: int) -> int:
     """W(n) = n - 3 * (number of 1's among the first n digits); W(0) = 0."""
     if n < 0:
         raise RangeError("n must be >= 0")
     return n - 3 * _prefix_count(x, 1, n)
-
-
-def f_weight(x: DigitSeq, a: int, b: int) -> int:
-    """3*I0(a,b) - 6*I1(a,b) + 3*I2(a,b)."""
-    if a > b:
-        raise RangeError(f"empty range: a={a} > b={b}")
-    ones = count_digit(x, 1, a, b)
-    return 3 * (b - a + 1) - 9 * ones
-
-
-def digit_frequency(x: DigitSeq) -> tuple[Fraction, Fraction, Fraction]:
-    """Limit frequencies (p0, p1, p2) of the digits, exact from the period."""
-    if not x.period:
-        return (Fraction(1), Fraction(0), Fraction(0))
-    length = len(x.period)
-    return tuple(
-        Fraction(sum(1 for d in x.period if d == i), length) for i in (0, 1, 2)
-    )  # type: ignore[return-value]

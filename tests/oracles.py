@@ -67,7 +67,7 @@ def takagi_quadrature_free(x: Fraction, terms: int = 200) -> Fraction:
     return total
 
 
-def _sawtooth(y: Fraction) -> Fraction:
+def big_phi_exact(y: Fraction) -> Fraction:
     """Phi(y): 3f, 3 - 6f or 3f - 3 on the thirds of the fraction part f."""
     f = y - y.numerator // y.denominator
     if f <= Fraction(1, 3):
@@ -92,10 +92,11 @@ def sigma_split_fractions(x: Fraction, h: Fraction) -> dict:
         m += 1
 
     def k_value(z):
-        return sum((_sawtooth(3**n * z) / 3**n for n in range(m)), Fraction(0))
+        return sum((big_phi_exact(3**n * z) / 3**n for n in range(m)), Fraction(0))
 
     levels = [
-        (_sawtooth(3**n * y) - _sawtooth(3**n * x)) / (3**n * h) for n in range(m)
+        (big_phi_exact(3**n * y) - big_phi_exact(3**n * x)) / (3**n * h)
+        for n in range(m)
     ]
     p = 1
     while Fraction(1, 3**p) > h:

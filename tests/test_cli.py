@@ -66,7 +66,12 @@ class TestEval:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "argv", [["--fn", "Kn", "--level", "-1"], ["--fn", "K", "--terms", "-1"]]
+        "argv",
+        [
+            ["--fn", "Kn", "--level", "-1"],
+            ["--fn", "K", "--terms", "-1"],
+            ["--fn", "K", "--terms", "0"],
+        ],
     )
     def test_no_terms_left(self, capsys, argv):
         code, out, err = run(capsys, "eval", *argv, "--samples", "3")
@@ -212,6 +217,21 @@ class TestClassify:
         with pytest.raises(SystemExit) as exc:
             main(["classify"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "--a", "3/2", "--level", "1"], "parameter a=3/2 outside (0, 1)"),
+        (["classify", "3/2"], "3/2 outside [0, 1]"),
+    ],
+)
+def test_range_error_from_the_library(capsys, argv, message):
+    # the library call makes the range check; the command only parses
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestExperiment:

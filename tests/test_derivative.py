@@ -18,7 +18,6 @@ from okamoto_k.derivative import (
     DerivativeClass,
     billingsley_divergence_witness,
     classification_report,
-    classify_by_frequency,
     classify_point,
     period_drift,
     random_ternary_pair,
@@ -30,9 +29,7 @@ from okamoto_k.derivative import (
 from okamoto_k.errors import DomainError, ProofCheckError
 from okamoto_k.ternary import (
     DigitSeq,
-    digit_frequency,
     expand_rational,
-    f_weight,
     walk_value,
 )
 
@@ -74,27 +71,6 @@ class TestClassifyPoint:
             expand_rational(1 - x)
         )
 
-    @given(unit_fractions)
-    @settings(max_examples=300)
-    def test_agrees_with_frequency_verdict(self, x):
-        seq = expand_rational(x)
-        freq_verdict = classify_by_frequency(digit_frequency(seq)[1])
-        if freq_verdict != DerivativeClass.INDETERMINATE:
-            assert classify_point(seq) == freq_verdict
-        else:
-            assert classify_point(seq) == DerivativeClass.NO_INFINITE_DERIVATIVE
-
-
-class TestClassifyByFrequency:
-    def test_thresholds(self):
-        assert classify_by_frequency(0.0) == DerivativeClass.PLUS_INFINITY
-        assert classify_by_frequency(0.5) == DerivativeClass.MINUS_INFINITY
-        assert classify_by_frequency(Fraction(1, 3)) == DerivativeClass.INDETERMINATE
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            classify_by_frequency(1.5)
-
 
 class TestWalkTrace:
     def test_five_ninths(self):
@@ -129,7 +105,6 @@ class TestSecantSlope:
         seq = expand_rational(x)
         slope = secant_slope(seq, n)
         assert slope == 3 * walk_value(seq, n)
-        assert slope == f_weight(seq, 1, n)
 
 
 class TestDivergenceWitness:
@@ -168,7 +143,7 @@ class TestSigmaDecomposition:
         dec = sigma_decompose(x, h)
         assert dec.case_tag == "k0<=p-3"
         assert dec.k0 == 1
-        assert dec.sigma1 == f_weight(expand_rational(x), 1, dec.k0)
+        assert dec.sigma1 == 3 * walk_value(expand_rational(x), dec.k0)
 
     def test_rejects_non_ternary(self):
         with pytest.raises(DomainError):
@@ -236,7 +211,7 @@ class TestSigmaDecomposition:
             dec = sigma_decompose(x, h)
             if dec.case_tag != "k0<=p-3" or dec.k0 == 0:
                 continue
-            assert dec.sigma1 == f_weight(expand_rational(x), 1, dec.k0)
+            assert dec.sigma1 == 3 * walk_value(expand_rational(x), dec.k0)
             seen += 1
 
 

@@ -11,7 +11,6 @@ from okamoto_k.dimension import (
     box_dimension_estimate,
     box_dimension_formula,
     crossing_probability_dp,
-    frequency_set_members,
     hausdorff_frequency_dim,
     symmetric_triple,
     walk_monte_carlo,
@@ -173,8 +172,6 @@ class TestWalkMonteCarlo:
     def test_seed_outside_key_word(self, seed):
         with pytest.raises(DomainError):
             walk_monte_carlo(10, 10, seed)
-        with pytest.raises(DomainError):
-            frequency_set_members(symmetric_triple(0.2), 2, 10, seed)
 
     def test_horizon_cap(self):
         cap = dimension._WALK_HORIZON_CAP
@@ -210,22 +207,3 @@ class TestRootSolve:
     def test_bracket_signs(self):
         f = lambda a: 54 * a**3 - 27 * a**2 - 1
         assert f(0.5) < 0 < f(1.0)
-
-
-class TestFrequencySetMembers:
-    def test_degenerate_triples(self):
-        zeros = frequency_set_members(FrequencyTriple(1, 0, 0), 3, 50, seed=0)
-        assert all(set(m) == {0} for m in zeros)
-        ones = frequency_set_members(FrequencyTriple(0, 1, 0), 3, 50, seed=0)
-        assert all(set(m) == {1} for m in ones)
-
-    def test_empirical_frequency(self):
-        members = frequency_set_members(symmetric_triple(1 / 3), 5, 10**4, seed=4)
-        for m in members:
-            p1 = sum(1 for d in m if d == 1) / len(m)
-            assert abs(p1 - 1 / 3) < 0.02
-
-    def test_deterministic(self):
-        a = frequency_set_members(symmetric_triple(0.2), 4, 100, seed=8)
-        b = frequency_set_members(symmetric_triple(0.2), 4, 100, seed=8)
-        assert a == b

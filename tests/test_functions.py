@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okamoto_k import functions
-from okamoto_k.errors import ContractionError, DomainError, ResourceLimitError
+from okamoto_k.errors import DomainError, ResourceLimitError
 from okamoto_k.functions import (
     SeriesTruncation,
     big_phi,
-    big_phi_exact,
     binary_truncation,
     dFa_da_fd,
     hata_yamaguti_residual,
     k_exact,
-    k_fe,
     k_series_digits,
     k_series_phi,
     k_series_phi_array,
@@ -30,7 +28,6 @@ from okamoto_k.functions import (
     okamoto_series,
     okamoto_series_array,
     sample_grid,
-    shift_psi,
     takagi,
     takagi_array,
     tent_phi,
@@ -38,7 +35,7 @@ from okamoto_k.functions import (
 )
 from okamoto_k.ternary import expand_rational
 
-from oracles import subdivision_fractions, takagi_quadrature_free
+from oracles import big_phi_exact, subdivision_fractions, takagi_quadrature_free
 
 ternary_rationals = st.integers(0, 3**12).map(lambda k: Fraction(k, 3**12))
 
@@ -60,14 +57,6 @@ class TestBuildingBlocks:
         assert big_phi_exact(Fraction(1, 3)) == 1
         assert big_phi_exact(Fraction(2, 3)) == -1
         assert big_phi_exact(Fraction(7, 3)) == 1
-
-    def test_shift_psi(self):
-        assert shift_psi(0.4) == pytest.approx(0.2)
-        assert shift_psi(1 / 3) == 1.0  # first-match branch endpoint
-        assert shift_psi(0.0) == 0.0
-        assert shift_psi(1.0) == 1.0
-        with pytest.raises(DomainError):
-            shift_psi(1.2)
 
     def test_truncation_validation(self):
         with pytest.raises(DomainError):
@@ -244,11 +233,6 @@ class TestKRoutes:
         assert k_series_digits(expand_rational(Fraction(1, 9))) == pytest.approx(2 / 3)
         assert k_series_digits(expand_rational(Fraction(0))) == 0.0
 
-    def test_fe_values(self):
-        assert k_fe(0.0) == 0.0
-        assert k_fe(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert k_fe(1 / 3) == pytest.approx(1.0, abs=1e-12)
-
     @given(ternary_rationals)
     @settings(max_examples=300, deadline=None)
     def test_float_routes_match_exact(self, x):
@@ -256,7 +240,6 @@ class TestKRoutes:
         seq = expand_rational(x)
         assert k_series_phi(float(x)) == pytest.approx(want, abs=1e-12)
         assert k_series_digits(seq) == pytest.approx(want, abs=1e-12)
-        assert k_fe(float(x)) == pytest.approx(want, abs=1e-12)
 
     @given(ternary_rationals)
     @settings(max_examples=300)
@@ -274,29 +257,6 @@ class TestKRoutes:
         else:
             inner = k_series_phi(max(0.0, 3 * x - 2)) / 3 + 3 * (x - 1)
         assert abs(k_series_phi(x) - inner) <= tail
-
-
-class TestGenericSolver:
-    def test_reproduces_k(self):
-        from okamoto_k.functions import yamaguti_hata_solve
-
-        trunc = ternary_truncation()
-        for x in (1 / 3, 0.5, 0.123):
-            val = yamaguti_hata_solve(1 / 3, big_phi, shift_psi, x, trunc)
-            assert val == pytest.approx(k_series_phi(x), abs=1e-12)
-
-    def test_geometric_series(self):
-        from okamoto_k.functions import yamaguti_hata_solve
-
-        trunc = SeriesTruncation(80, 0.5**80 / 0.5)
-        val = yamaguti_hata_solve(0.5, lambda _: 1.0, lambda y: y, 0.2, trunc)
-        assert val == pytest.approx(2.0, abs=1e-12)
-
-    def test_contraction_guard(self):
-        from okamoto_k.functions import yamaguti_hata_solve
-
-        with pytest.raises(ContractionError):
-            yamaguti_hata_solve(1.0, big_phi, shift_psi, 0.5, ternary_truncation())
 
 
 class TestParameterDerivative:

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from okamoto_k.errors import DomainError, RangeError
 from okamoto_k.ternary import (
     DigitSeq,
-    count_digit,
     digit_at,
-    digit_frequency,
     expand_rational,
-    f_weight,
     walk_value,
 )
 
@@ -126,36 +123,6 @@ class TestDigitAt:
         assert digit_at(seq, 7) == 2
 
 
-class TestCountDigit:
-    def test_half_is_all_ones(self):
-        seq = expand_rational(Fraction(1, 2))
-        assert count_digit(seq, 1, 1, 5) == 5
-
-    def test_zero_has_no_ones(self):
-        seq = expand_rational(Fraction(0))
-        assert count_digit(seq, 1, 1, 100) == 0
-
-    def test_five_ninths(self):
-        seq = expand_rational(Fraction(5, 9))  # digits 1,2,0,0,...
-        assert count_digit(seq, 1, 1, 4) == 1
-
-    def test_bad_range(self):
-        seq = expand_rational(Fraction(1, 2))
-        with pytest.raises(RangeError):
-            count_digit(seq, 1, 5, 4)
-
-    @given(unit_fractions, st.integers(1, 40), st.integers(0, 40), st.integers(1, 40))
-    @settings(max_examples=200)
-    def test_additive_over_split(self, x, a, b_off, c_off):
-        seq = expand_rational(x)
-        b = a + b_off
-        c = b + c_off
-        for i in (0, 1, 2):
-            assert count_digit(seq, i, a, c) == count_digit(seq, i, a, b) + (
-                count_digit(seq, i, b + 1, c) if b < c else 0
-            )
-
-
 class TestWalkAndWeight:
     def test_examples(self):
         assert walk_value(expand_rational(Fraction(0)), 10) == 10
@@ -166,36 +133,3 @@ class TestWalkAndWeight:
         assert walk_value(expand_rational(Fraction(1, 2)), 0) == 0
         with pytest.raises(RangeError):
             walk_value(expand_rational(Fraction(1, 2)), -1)
-
-    def test_f_weight_constant_digits(self):
-        zero = expand_rational(Fraction(0))
-        half = expand_rational(Fraction(1, 2))
-        for n in (1, 5, 17):
-            assert f_weight(zero, 1, n) == 3 * n
-            assert f_weight(half, 1, n) == -6 * n
-
-    @given(unit_fractions, st.integers(1, 60))
-    @settings(max_examples=300)
-    def test_weight_is_three_times_walk(self, x, n):
-        seq = expand_rational(x)
-        assert f_weight(seq, 1, n) == 3 * walk_value(seq, n)
-
-
-class TestDigitFrequency:
-    def test_quarter(self):
-        assert digit_frequency(expand_rational(Fraction(1, 4))) == (
-            Fraction(1, 2),
-            Fraction(0),
-            Fraction(1, 2),
-        )
-
-    def test_half(self):
-        assert digit_frequency(expand_rational(Fraction(1, 2))) == (0, 1, 0)
-
-    def test_zero(self):
-        assert digit_frequency(expand_rational(Fraction(0))) == (1, 0, 0)
-
-    @given(unit_fractions)
-    @settings(max_examples=200)
-    def test_frequencies_sum_to_one(self, x):
-        assert sum(digit_frequency(expand_rational(x))) == 1
