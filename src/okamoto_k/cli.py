@@ -16,6 +16,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
+import numpy as np
+
 from .derivative import classification_report, sigma_fuzz
 from .dimension import (
     box_dimension_estimate,
@@ -39,6 +41,7 @@ OUTDIR_ENV = "OKAMOTO_K_OUTDIR"
 
 _EVAL_FNS = ("takagi", "lebesgue", "okamoto", "K", "Kn")
 _POINT_BLOCK = 8192  # grid points converted to Python floats at a time
+_TERMS_CAP = 1000  # K's weight 3^-n is 0.0 from term 680 on
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -65,37 +68,66 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _grid_points(xs, values) -> Iterator[tuple[float, float]]:
-    """The (x, value) pairs of a grid as Python floats, one block at a time.
+def _point_blocks(xs, values) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive slices of ``_POINT_BLOCK`` points of a grid and its values.
 
-    Converting a whole 10^5-point grid at once keeps 2 * 10^5 floats and
-    10^5 tuples alive, about 13 MB in fresh memory on every call; per block
-    they stay few, and the allocator reuses their memory.
+    The writers convert one block at a time to Python floats and text.  A
+    whole 10^5-point grid at once would keep 2 * 10^5 floats alive, about
+    13 MB in fresh memory on every call; per block they stay few, and the
+    allocator reuses their memory.
     """
     for i in range(0, len(xs), _POINT_BLOCK):
-        block = slice(i, i + _POINT_BLOCK)
-        yield from zip(xs[block].tolist(), values[block].tolist())
+        yield xs[i : i + _POINT_BLOCK], values[i : i + _POINT_BLOCK]
 
 
-def _csv_points(points: Iterable[tuple[float, float]]) -> str:
-    lines = ["x,value"]
-    lines.extend(f"{x:.12g},{v:.12g}" for x, v in points)
-    lines.append("")
-    return "\n".join(lines)
+def _grid_points(xs, values) -> Iterator[tuple[float, float]]:
+    """The (x, value) pairs of a grid as Python floats, one block at a time."""
+    for xb, vb in _point_blocks(xs, values):
+        yield from zip(xb.tolist(), vb.tolist())
 
 
-def _svg_points(points: Iterable[tuple[float, float]], ylo: float, yhi: float) -> str:
+def _format_block(line: str, sep: str, xb: np.ndarray, vb: np.ndarray) -> str:
+    """``sep.join(line % (x, v) for x, v in zip(xb, vb))`` in one ``%``.
+
+    One ``%`` on the interleaved floats formats each of them with the same
+    conversion as an f-string's format spec, without a Python-level loop.
+    """
+    flat = np.column_stack((xb, vb)).ravel().tolist()
+    return sep.join([line] * len(xb)) % tuple(flat)
+
+
+def _csv_points(xs, values) -> str:
+    """The csv document of the float arrays xs and values: ``x,value`` rows.
+
+    Each number is ``%.12g``.  A block of ``_POINT_BLOCK`` rows is formatted
+    at a time, byte-identical to one f-string per row.
+    """
+    blocks = _point_blocks(xs, values)
+    return "x,value\n" + "".join(
+        _format_block("%.12g,%.12g\n", "", xb, vb) for xb, vb in blocks
+    )
+
+
+def _svg_points(xs, values, ylo: float, yhi: float) -> str:
+    """An 800x800 svg polyline of the float arrays xs in [0, 1] and values.
+
+    The value range [ylo, yhi] fills the plot area; a zero line is drawn
+    when it lies inside.  Pixel coordinates are computed in numpy with the
+    same IEEE operations, in the same order, as per point, and formatted
+    ``%.2f`` a block of ``_POINT_BLOCK`` points at a time.
+    """
     # fixed 800x800 viewport; graph area inset by a 40px margin
     size, margin = 800, 40
     span = size - 2 * margin
-
-    def sx(x: float) -> float:
-        return margin + x * span
-
-    def sy(y: float) -> float:
-        return margin + (yhi - y) / (yhi - ylo) * span
-
-    pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in points)
+    pts = " ".join(
+        _format_block(
+            "%.2f,%.2f",
+            " ",
+            margin + xb * span,
+            margin + (yhi - vb) / (yhi - ylo) * span,
+        )
+        for xb, vb in _point_blocks(xs, values)
+    )
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
@@ -103,7 +135,7 @@ def _svg_points(points: Iterable[tuple[float, float]], ylo: float, yhi: float) -
         'fill="none" stroke="#999" stroke-width="1"/>',
     ]
     if ylo < 0 < yhi:
-        y0 = sy(0.0)
+        y0 = margin + yhi / (yhi - ylo) * span  # the row of value 0
         parts.append(
             f'<line x1="{margin}" y1="{y0:.2f}" x2="{size - margin}" y2="{y0:.2f}" '
             'stroke="#ccc" stroke-width="1"/>'
@@ -142,6 +174,11 @@ def _cmd_eval(args) -> int:
     a = args.a
     if args.fn in ("lebesgue", "okamoto") and not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
+    # Kn is the partial sum through level n; only K reads --terms
+    terms = args.level + 1 if args.fn == "Kn" else args.terms
+    if terms is not None and terms > _TERMS_CAP:
+        raise ResourceLimitError(f"{terms} series terms exceed cap of {_TERMS_CAP}")
+    trunc = ternary_truncation(terms) if terms is not None else None
     xs = sample_grid(args.samples)
     if args.fn == "takagi":
         values = takagi_array(xs)
@@ -149,23 +186,19 @@ def _cmd_eval(args) -> int:
         values = lebesgue_L_array(a, xs)
     elif args.fn == "okamoto":
         values = okamoto_series_array(a, xs)
-    elif args.fn == "K":
-        trunc = ternary_truncation(args.terms) if args.terms is not None else None
+    else:
         values = k_series_phi_array(xs, trunc)
-    else:  # Kn: partial sum through level n
-        trunc = ternary_truncation(args.level + 1)
-        values = k_series_phi_array(xs, trunc)
-    points = _grid_points(xs, values)
 
     if args.format == "csv":
-        text = _csv_points(points)
+        text = _csv_points(xs, values)
     elif args.format == "json":
         text = _json_points_doc(
-            {"command": "eval", "fn": args.fn, "a": a, "samples": args.samples}, points
+            {"command": "eval", "fn": args.fn, "a": a, "samples": args.samples},
+            _grid_points(xs, values),
         )
     else:
         ylo, yhi = (-1.5, 1.5) if args.fn in ("K", "Kn") else (0.0, 1.0)
-        text = _svg_points(points, ylo, yhi)
+        text = _svg_points(xs, values, ylo, yhi)
     _emit(text, _resolve_output(args.output))
     return 0
 
@@ -181,11 +214,7 @@ def _cmd_construct(args) -> int:
     pl = okamoto_iterative(a, args.level)
     denom = 3**args.level
     ord_den = pl.denominator
-    if args.format == "csv":
-        # n / ord_den is correctly rounded: it equals float(Fraction(n, ord_den))
-        points = [(k / denom, n / ord_den) for k, n in enumerate(pl.numerators)]
-        text = _csv_points(points)
-    elif args.format == "json":
+    if args.format == "json":
         text = _json_doc(
             {
                 "command": "construct",
@@ -196,8 +225,13 @@ def _cmd_construct(args) -> int:
             }
         )
     else:
-        points = [(k / denom, n / ord_den) for k, n in enumerate(pl.numerators)]
-        text = _svg_points(points, 0.0, 1.0)
+        xs = np.arange(denom + 1) / denom  # k / denom: k and denom are exact doubles
+        # n / ord_den is correctly rounded on big ints: float(Fraction(n, ord_den))
+        ys = np.array([n / ord_den for n in pl.numerators])
+        if args.format == "csv":
+            text = _csv_points(xs, ys)
+        else:
+            text = _svg_points(xs, ys, 0.0, 1.0)
     _emit(text, _resolve_output(args.output))
     return 0
 
@@ -271,8 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fn", choices=_EVAL_FNS, required=True)
     p_eval.add_argument("--a", type=float, default=1 / 3)
     p_eval.add_argument("--samples", type=int, default=1001)
-    p_eval.add_argument("--terms", type=int, default=None)
-    p_eval.add_argument("--level", type=int, default=10, help="partial-sum level for Kn")
+    p_eval.add_argument(
+        "--terms", type=int, default=None, help="series terms for K only, at most 1000"
+    )
+    p_eval.add_argument(
+        "--level", type=int, default=10, help="partial-sum level for Kn, at most 999"
+    )
     p_eval.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_eval.add_argument("--output", default=None)
     p_eval.set_defaults(func=_cmd_eval)
@@ -310,6 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.terms is not None and args.fn != "K":
+        parser.error(f"argument --terms: applies to --fn K only, not --fn {args.fn}")
     try:
         return args.func(args)
     except (DomainError, RangeError) as exc:

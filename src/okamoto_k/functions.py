@@ -57,9 +57,10 @@ def ternary_truncation(terms: int = TERNARY_TERMS) -> SeriesTruncation:
     """Truncation for sum 3^-n Phi(3^n x), n = 0..N-1.
 
     |Phi| <= 1, so the tail is at most sum_{n>=N} 3^-n = 1.5 * 3^-N; at
-    x = 3^-(N+1) it is exactly 3^-N.
+    x = 3^-(N+1) it is exactly 3^-N.  A count below 1 raises DomainError;
+    the ``max`` keeps ``3.0 ** -N`` from overflowing before that check.
     """
-    return SeriesTruncation(terms, 1.5 * 3.0 ** (-terms))
+    return SeriesTruncation(terms, 1.5 * 3.0 ** -max(terms, 1))
 
 def binary_truncation(terms: int = BINARY_TERMS) -> SeriesTruncation:
     """Truncation for the Takagi series: phi <= 1/2, tail <= 2^-N."""
@@ -157,7 +158,15 @@ def takagi(x: float, trunc: SeriesTruncation | None = None) -> float:
 
 
 def takagi_array(xs) -> np.ndarray:
-    """``takagi`` at every point of xs, bit-identical to the scalar route."""
+    """``takagi`` at every point of xs, bit-identical to the scalar route.
+
+    The doubling step takes ``z - floor(z)`` where the scalar route takes
+    ``z % 1.0``, for ``z = fl(2y)`` in [0, 2].  Both are exact, so both give
+    the same double: ``fmod(z, 1)`` always is, and ``z - floor(z)`` is for
+    ``z < 1`` (floor 0) and by Sterbenz's lemma for ``1 <= z <= 2``; at
+    ``z = 2`` and at ``z = -0.0`` both are +0.0.  ``np.floor`` costs a
+    fraction of ``np.remainder``.
+    """
     terms = binary_truncation().terms
 
     def term_loop(y: np.ndarray) -> np.ndarray:
@@ -166,7 +175,8 @@ def takagi_array(xs) -> np.ndarray:
         for _ in range(terms):
             f = y - np.floor(y)
             total += w * np.minimum(f, 1.0 - f)
-            y = (2 * y) % 1.0
+            y = 2 * y
+            y -= np.floor(y)
             w *= 0.5
         return total
 
@@ -405,7 +415,15 @@ def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
 
 
 def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
-    """``k_series_phi`` at every point of xs, bit-identical to the scalar route."""
+    """``k_series_phi`` at every point of xs, bit-identical to the scalar route.
+
+    The tripling step takes ``z - floor(z)`` where the scalar route takes
+    ``z % 1.0``, for ``z = fl(3y)`` in [0, 3].  Both are exact, so both give
+    the same double: ``fmod(z, 1)`` always is, and ``z - floor(z)`` is for
+    ``z < 1`` (floor 0) and by Sterbenz's lemma for ``1 <= z < 3``; at
+    ``z = 3``, which ``x = 1.0`` reaches, and at ``z = -0.0`` both are
+    +0.0.  ``np.floor`` costs a fraction of ``np.remainder``.
+    """
     terms = (trunc or ternary_truncation()).terms
 
     def term_loop(y: np.ndarray) -> np.ndarray:
@@ -416,7 +434,8 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
             total += w * np.where(
                 f <= 1 / 3, 3 * f, np.where(f <= 2 / 3, 3 * (1 - 2 * f), 3 * (f - 1))
             )
-            y = (3 * y) % 1.0
+            y = 3 * y
+            y -= np.floor(y)
             w /= 3.0
         return total
 

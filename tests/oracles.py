@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own code paths: digits
 come from plain long division, crossing probabilities from exhaustive
 enumeration, entropy values from mpmath high-precision arithmetic, the
-subdivision graph from Fraction arithmetic, and walks from numpy doubles.
+subdivision graph from Fraction arithmetic, walks from numpy doubles, and
+csv/svg text from one f-string per point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 import mpmath
@@ -186,3 +188,45 @@ def box_counts_fractions(ords: list[Fraction], level: int) -> list[int]:
             total += math.floor(max(col) * 3**j) - math.floor(min(col) * 3**j) + 1
         counts.append(total)
     return counts
+
+
+# The per-point csv and svg writers of `eval` and `construct`, kept as the
+# reference the block writers of `okamoto_k.cli` must match byte for byte.
+
+
+def csv_per_point(points: Iterable[tuple[float, float]]) -> str:
+    lines = ["x,value"]
+    lines.extend(f"{x:.12g},{v:.12g}" for x, v in points)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def svg_per_point(points: Iterable[tuple[float, float]], ylo: float, yhi: float) -> str:
+    # fixed 800x800 viewport; graph area inset by a 40px margin
+    size, margin = 800, 40
+    span = size - 2 * margin
+
+    def sx(x: float) -> float:
+        return margin + x * span
+
+    def sy(y: float) -> float:
+        return margin + (yhi - y) / (yhi - ylo) * span
+
+    pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in points)
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
+        'fill="none" stroke="#999" stroke-width="1"/>',
+    ]
+    if ylo < 0 < yhi:
+        y0 = sy(0.0)
+        parts.append(
+            f'<line x1="{margin}" y1="{y0:.2f}" x2="{size - margin}" y2="{y0:.2f}" '
+            'stroke="#ccc" stroke-width="1"/>'
+        )
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import okamoto_k
 from okamoto_k import cli, dimension, functions
 from okamoto_k.cli import _csv_points, _json_doc, _json_points_doc, _svg_points, main
 from okamoto_k.functions import k_series_phi, okamoto_series
 
-from oracles import subdivision_fractions
+from oracles import csv_per_point, subdivision_fractions, svg_per_point
 
 
 def run(capsys, *argv):
@@ -71,6 +77,9 @@ class TestEval:
             ["--fn", "Kn", "--level", "-1"],
             ["--fn", "K", "--terms", "-1"],
             ["--fn", "K", "--terms", "0"],
+            # 3.0 ** 100000 would overflow before the count is checked
+            ["--fn", "K", "--terms", "-100000"],
+            ["--fn", "Kn", "--level", "-100000"],
         ],
     )
     def test_no_terms_left(self, capsys, argv):
@@ -78,6 +87,52 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--fn", "K", "--terms", "1001"], ["--fn", "Kn", "--level", "1000"]],
+    )
+    def test_term_cap(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv, "--samples", "3")
+        assert code == 4
+        assert out == ""
+        assert err == "error: 1001 series terms exceed cap of 1000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--fn", "K", "--terms", "100000000"], ["--fn", "Kn", "--level", "100000000"]],
+    )
+    def test_huge_term_count_exits_at_once(self, argv):
+        # in a child process, so that a missing cap fails by timeout, not a hang
+        src = str(Path(okamoto_k.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "okamoto_k.cli", "eval", *argv, "--samples", "3"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["--fn", "K", "--terms", "1000"], ["--fn", "Kn", "--level", "999"]]
+    )
+    def test_term_cap_is_inclusive(self, capsys, argv):
+        code, out, _ = run(capsys, "eval", *argv, "--samples", "3")
+        assert code == 0
+        assert out == "x,value\n0,0\n0.5,0\n1,0\n"
+
+    @pytest.mark.parametrize("fn", ["takagi", "lebesgue", "okamoto", "Kn"])
+    def test_terms_only_for_k(self, capsys, fn):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--fn", fn, "--samples", "5", "--terms", "3"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert "--terms" in out.err
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize(
@@ -102,7 +157,7 @@ class TestEval:
         assert code == 0
         points = [(x, route(x)) for x in (i / (n - 1) for i in range(n))]
         if fmt == "csv":
-            want = _csv_points(points)
+            want = csv_per_point(points)
         elif fmt == "json":
             want = _json_doc(
                 {
@@ -114,8 +169,38 @@ class TestEval:
                 }
             )
         else:
-            want = _svg_points(points, *yrange)
+            want = svg_per_point(points, *yrange)
         assert out == want
+
+
+# floats whose text is easy to get wrong: signed zeros, the least subnormal,
+# non-terminating and rounding-error sums, large integers, values written
+# with a 5 in the third decimal, which %.2f rounds by their exact binary
+# value, and the non-finite values
+AWKWARD = [
+    0.0, -0.0, 5e-324, -5e-324, 1 / 3, 0.1 + 0.2, 1e16, 1e22, -1e22,
+    0.125, 0.375, 2.675, 1.005, 0.015, -0.045, 1.5, -1.5, 1e-7, 123456789.0,
+    float("inf"), float("-inf"), float("nan"),
+]
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "blocks-of-7"])
+@pytest.mark.parametrize("yrange", [(0.0, 1.0), (-1.5, 1.5)])
+def test_block_writers_match_per_point_writers(monkeypatch, block, yrange):
+    if block:
+        monkeypatch.setattr(cli, "_POINT_BLOCK", block)
+    # every pairing of two awkward floats, in both columns
+    xs = np.repeat(AWKWARD, len(AWKWARD))
+    values = np.tile(AWKWARD, len(AWKWARD))
+    points = list(zip(xs.tolist(), values.tolist()))
+    assert _csv_points(xs, values) == csv_per_point(points)
+    assert _svg_points(xs, values, *yrange) == svg_per_point(points, *yrange)
+    # x values that the map x -> 40 + 720 x sends next to the finite ones,
+    # so that %.2f meets them as pixel coordinates
+    near = (np.array(AWKWARD[:-3]) - 40) / 720
+    assert _svg_points(near, near, *yrange) == svg_per_point(
+        list(zip(near.tolist(), near.tolist())), *yrange
+    )
 
 
 def test_json_points_doc_matches_json_dumps():
@@ -177,7 +262,7 @@ class TestConstruct:
         denom = 3**level
         points = [(k / denom, float(y)) for k, y in enumerate(ords)]
         if fmt == "csv":
-            want = _csv_points(points)
+            want = csv_per_point(points)
         elif fmt == "json":
             want = _json_doc(
                 {
@@ -189,7 +274,7 @@ class TestConstruct:
                 }
             )
         else:
-            want = _svg_points(points, 0.0, 1.0)
+            want = svg_per_point(points, 0.0, 1.0)
         assert out == want
 
 

@@ -304,6 +304,29 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def _uniform_bit_patterns(n: int, seed: int) -> np.ndarray:
+    """n doubles in [0, 1] with bit patterns drawn uniformly from 0 .. bits(1.0).
+
+    Most are tiny: each binade below 1 gets the same share, so every
+    exponent the term loops can meet is tried.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    one = int(np.array(1.0).view(np.int64))
+    return rng.integers(0, one, size=n, endpoint=True).view(np.float64)
+
+
+# bit-pattern draws plus the largest double below 1, the least subnormal,
+# -0.0 and 0.5 with its two neighbours, where the steps z - floor(z) and
+# z % 1.0 of the array and scalar routes meet their edge cases
+BIT_PATTERNS = np.concatenate(
+    [
+        _uniform_bit_patterns(10**4, seed=31),
+        [1 - 2**-53, 5e-324, -0.0],
+        [math.nextafter(0.5, 0), 0.5, math.nextafter(0.5, 1)],
+    ]
+)
+
+
 class TestArrayRoutes:
     @pytest.mark.parametrize("n", [2, 3, 1001, 3**7 + 1])
     def test_sample_grid_is_exact_division(self, n):
@@ -311,8 +334,9 @@ class TestArrayRoutes:
 
     @pytest.mark.parametrize(
         "xs",
-        [sample_grid(n) for n in (2, 3, 1001, 3**7 + 1)] + [np.array(NEAR_TIES)],
-        ids=["n2", "n3", "n1001", "n2188", "near-ties"],
+        [sample_grid(n) for n in (2, 3, 1001, 3**7 + 1)]
+        + [np.array(NEAR_TIES), BIT_PATTERNS],
+        ids=["n2", "n3", "n1001", "n2188", "near-ties", "bit-patterns"],
     )
     @pytest.mark.parametrize("name", sorted(TWINS))
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
