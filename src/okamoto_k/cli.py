@@ -15,6 +15,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -39,9 +40,12 @@ from .functions import (
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "OKAMOTO_K_OUTDIR"
 
-_EVAL_FNS = ("takagi", "lebesgue", "okamoto", "K", "Kn")
-_POINT_BLOCK = 8192  # grid points converted to Python floats at a time
+_POINT_BLOCK = 8192  # grid points that eval evaluates and formats at a time
 _TERMS_CAP = 1000  # K's weight 3^-n is 0.0 from term 680 on
+_SAMPLES_CAP = 10**6
+_DEFAULT_A = 1 / 3  # --a when not given, and eval's json "a" for every --fn
+
+Blocks = Iterable[tuple[np.ndarray, np.ndarray]]  # (xs, values) slices of a grid
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -68,22 +72,17 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _point_blocks(xs, values) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive slices of ``_POINT_BLOCK`` points of a grid and its values.
+def _point_blocks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Consecutive slices of ``_POINT_BLOCK`` points of equally long arrays.
 
-    The writers convert one block at a time to Python floats and text.  A
-    whole 10^5-point grid at once would keep 2 * 10^5 floats alive, about
-    13 MB in fresh memory on every call; per block they stay few, and the
-    allocator reuses their memory.
+    eval runs the array route and then the writer on one block at a time.
+    The route's float64 temporaries, 64 KiB each, stay in the CPU cache;
+    on a whole 10^5-point grid each would be a fresh 800 KB allocation.
+    The writer's Python floats stay few; a whole grid at once would keep
+    2 * 10^5 of them alive, about 13 MB in fresh memory on every call.
     """
-    for i in range(0, len(xs), _POINT_BLOCK):
-        yield xs[i : i + _POINT_BLOCK], values[i : i + _POINT_BLOCK]
-
-
-def _grid_points(xs, values) -> Iterator[tuple[float, float]]:
-    """The (x, value) pairs of a grid as Python floats, one block at a time."""
-    for xb, vb in _point_blocks(xs, values):
-        yield from zip(xb.tolist(), vb.tolist())
+    for i in range(0, len(columns[0]), _POINT_BLOCK):
+        yield tuple(c[i : i + _POINT_BLOCK] for c in columns)
 
 
 def _format_block(line: str, sep: str, xb: np.ndarray, vb: np.ndarray) -> str:
@@ -96,25 +95,24 @@ def _format_block(line: str, sep: str, xb: np.ndarray, vb: np.ndarray) -> str:
     return sep.join([line] * len(xb)) % tuple(flat)
 
 
-def _csv_points(xs, values) -> str:
-    """The csv document of the float arrays xs and values: ``x,value`` rows.
+def _csv_points(blocks: Blocks) -> str:
+    """The csv document of blocks of float arrays xs, values: ``x,value`` rows.
 
-    Each number is ``%.12g``.  A block of ``_POINT_BLOCK`` rows is formatted
-    at a time, byte-identical to one f-string per row.
+    Each number is ``%.12g``.  A block of rows is formatted at a time,
+    byte-identical to one f-string per row.
     """
-    blocks = _point_blocks(xs, values)
     return "x,value\n" + "".join(
         _format_block("%.12g,%.12g\n", "", xb, vb) for xb, vb in blocks
     )
 
 
-def _svg_points(xs, values, ylo: float, yhi: float) -> str:
-    """An 800x800 svg polyline of the float arrays xs in [0, 1] and values.
+def _svg_points(blocks: Blocks, ylo: float, yhi: float) -> str:
+    """An 800x800 svg polyline of blocks of float arrays xs in [0, 1], values.
 
     The value range [ylo, yhi] fills the plot area; a zero line is drawn
     when it lies inside.  Pixel coordinates are computed in numpy with the
     same IEEE operations, in the same order, as per point, and formatted
-    ``%.2f`` a block of ``_POINT_BLOCK`` points at a time.
+    ``%.2f`` a block at a time.
     """
     # fixed 800x800 viewport; graph area inset by a 40px margin
     size, margin = 800, 40
@@ -126,7 +124,7 @@ def _svg_points(xs, values, ylo: float, yhi: float) -> str:
             margin + xb * span,
             margin + (yhi - vb) / (yhi - ylo) * span,
         )
-        for xb, vb in _point_blocks(xs, values)
+        for xb, vb in blocks
     )
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -153,52 +151,68 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _json_points_doc(payload: dict, points: Iterable[tuple[float, float]]) -> str:
+def _json_points_doc(payload: dict, blocks: Blocks) -> str:
     """``_json_doc`` of payload plus a last key ``"points": [[x, v], ...]``.
 
     The text is byte for byte the same.  ``json.dumps`` with an indent runs
     the pure-Python encoder, which holds a list and about seven string
     pieces per point until it joins them: for 10^5 points, 0.8 s and some
     40 MB of fresh memory per call.  The points are finite floats, which
-    that encoder writes as ``float.__repr__``; here each point is one
-    f-string in the same layout.
+    that encoder writes as ``float.__repr__``, the ``%r`` of a float; here
+    a block of points is formatted at a time in the same layout.
     """
     head = _json_doc({**payload, "points": []}).removesuffix("[]\n}\n")
-    body = ",\n".join(f"    [\n      {x!r},\n      {v!r}\n    ]" for x, v in points)
+    body = ",\n".join(
+        _format_block("    [\n      %r,\n      %r\n    ]", ",\n", xb, vb)
+        for xb, vb in blocks
+    )
     return f"{head}[\n{body}\n  ]\n}}\n"
 
 
-def _cmd_eval(args) -> int:
-    if args.samples < 2:
-        raise DomainError("need --samples >= 2")
-    a = args.a
-    if args.fn in ("lebesgue", "okamoto") and not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
-    # Kn is the partial sum through level n; only K reads --terms
-    terms = args.level + 1 if args.fn == "Kn" else args.terms
+def _k_route(terms: int | None):
+    """K's array route on ``terms`` terms of the sawtooth series, None for 40."""
     if terms is not None and terms > _TERMS_CAP:
         raise ResourceLimitError(f"{terms} series terms exceed cap of {_TERMS_CAP}")
     trunc = ternary_truncation(terms) if terms is not None else None
-    xs = sample_grid(args.samples)
-    if args.fn == "takagi":
-        values = takagi_array(xs)
-    elif args.fn == "lebesgue":
-        values = lebesgue_L_array(a, xs)
-    elif args.fn == "okamoto":
-        values = okamoto_series_array(a, xs)
-    else:
-        values = k_series_phi_array(xs, trunc)
+    return lambda xb: k_series_phi_array(xb, trunc)
 
+
+# --fn -> (the one option among --a, --terms, --level that it reads, or None;
+# that option's value when not given; a function from the value to the array
+# route on a block of points; the value range of the svg plot).  The routes
+# are looked up by name when called, so that a wrapper installed on a name of
+# this module is seen.
+_EVAL_FNS = {
+    "takagi": (None, None, lambda _: takagi_array, (0.0, 1.0)),
+    "lebesgue": ("a", _DEFAULT_A, lambda a: partial(lebesgue_L_array, a), (0.0, 1.0)),
+    "okamoto": (
+        "a", _DEFAULT_A, lambda a: partial(okamoto_series_array, a), (0.0, 1.0)
+    ),
+    "K": ("terms", None, _k_route, (-1.5, 1.5)),
+    # the partial sum through level n has n + 1 terms
+    "Kn": ("level", 10, lambda level: _k_route(level + 1), (-1.5, 1.5)),
+}
+
+
+def _cmd_eval(args) -> int:
+    n = args.samples
+    if n < 2:
+        raise DomainError("need --samples >= 2")
+    if n > _SAMPLES_CAP:
+        raise ResourceLimitError(f"{n} samples exceed cap of {_SAMPLES_CAP}")
+    option, default, make_route, (ylo, yhi) = _EVAL_FNS[args.fn]
+    value = getattr(args, option) if option else None
+    route = make_route(default if value is None else value)
+    xs = sample_grid(n)
+    blocks = ((xb, route(xb)) for (xb,) in _point_blocks(xs))
     if args.format == "csv":
-        text = _csv_points(xs, values)
+        text = _csv_points(blocks)
     elif args.format == "json":
-        text = _json_points_doc(
-            {"command": "eval", "fn": args.fn, "a": a, "samples": args.samples},
-            _grid_points(xs, values),
-        )
+        a = _DEFAULT_A if args.a is None else args.a
+        payload = {"command": "eval", "fn": args.fn, "a": a, "samples": n}
+        text = _json_points_doc(payload, blocks)
     else:
-        ylo, yhi = (-1.5, 1.5) if args.fn in ("K", "Kn") else (0.0, 1.0)
-        text = _svg_points(xs, values, ylo, yhi)
+        text = _svg_points(blocks, ylo, yhi)
     _emit(text, _resolve_output(args.output))
     return 0
 
@@ -229,9 +243,9 @@ def _cmd_construct(args) -> int:
         # n / ord_den is correctly rounded on big ints: float(Fraction(n, ord_den))
         ys = np.array([n / ord_den for n in pl.numerators])
         if args.format == "csv":
-            text = _csv_points(xs, ys)
+            text = _csv_points(_point_blocks(xs, ys))
         else:
-            text = _svg_points(xs, ys, 0.0, 1.0)
+            text = _svg_points(_point_blocks(xs, ys), 0.0, 1.0)
     _emit(text, _resolve_output(args.output))
     return 0
 
@@ -302,14 +316,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="sample a function on a uniform grid")
-    p_eval.add_argument("--fn", choices=_EVAL_FNS, required=True)
-    p_eval.add_argument("--a", type=float, default=1 / 3)
-    p_eval.add_argument("--samples", type=int, default=1001)
+    p_eval.add_argument("--fn", choices=tuple(_EVAL_FNS), required=True)
     p_eval.add_argument(
-        "--terms", type=int, default=None, help="series terms for K only, at most 1000"
+        "--a", type=float,
+        help="parameter in (0, 1) for lebesgue and okamoto only, default 1/3",
     )
     p_eval.add_argument(
-        "--level", type=int, default=10, help="partial-sum level for Kn, at most 999"
+        "--samples", type=int, default=1001,
+        help=f"grid points, at least 2 and at most {_SAMPLES_CAP}",
+    )
+    p_eval.add_argument(
+        "--terms", type=int, help="series terms for K only, at most 1000, default 40"
+    )
+    p_eval.add_argument(
+        "--level", type=int,
+        help="partial-sum level for Kn only, at most 999, default 10",
     )
     p_eval.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_eval.add_argument("--output", default=None)
@@ -348,8 +369,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and args.terms is not None and args.fn != "K":
-        parser.error(f"argument --terms: applies to --fn K only, not --fn {args.fn}")
+    if args.command == "eval":
+        for option in ("a", "terms", "level"):
+            if getattr(args, option) is not None and option != _EVAL_FNS[args.fn][0]:
+                readers = [fn for fn, spec in _EVAL_FNS.items() if spec[0] == option]
+                parser.error(
+                    f"argument --{option}: applies to --fn {' and '.join(readers)} "
+                    f"only, not --fn {args.fn}"
+                )
     try:
         return args.func(args)
     except (DomainError, RangeError) as exc:

@@ -14,9 +14,9 @@ oracles the float routes are tested against.
 The ``*_array`` routes behind ``eval`` run the loop of their scalar twin
 over a float64 array, one term at a time, with the same IEEE operations in
 the same order (branches become ``np.where`` selects), so each element is
-bit-identical to the scalar call at that point.  They run block by block
-(``_by_blocks``), so their memory is O(len(xs)) whatever the term count and
-their working set stays in the CPU cache whatever the grid size.
+bit-identical to the scalar call at that point.  Every operation is
+elementwise, so a route gives the same values on a grid as on any split of
+it into blocks, and its memory is O(len(xs)) whatever the term count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50
 
 _S = (0, 1, -1)  # sign weight per digit
-_BLOCK = 8192  # points per block of the array routes: 64 KiB per float64 array
 _ITERATIVE_CAP = 3**12 + 1
 
 
@@ -102,23 +100,6 @@ def _unit_array(xs) -> np.ndarray:
     return xs
 
 
-def _by_blocks(term_loop: Callable[[np.ndarray], np.ndarray], xs) -> np.ndarray:
-    """term_loop over consecutive blocks of the points xs, checked to lie in [0, 1].
-
-    On a whole grid of 10^5 points every temporary of the term loop is a
-    fresh 800 KB allocation that misses the L2 cache.  A block's
-    temporaries fit in L2 and the allocator reuses them from block to
-    block, so the cost per point does not grow with the grid.  The values
-    are the same, since every operation is elementwise.
-    """
-    xs = _unit_array(xs)
-    flat = xs.reshape(-1)
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, _BLOCK):
-        out[i : i + _BLOCK] = term_loop(flat[i : i + _BLOCK])
-    return out.reshape(xs.shape)
-
-
 def tent_phi(x: float) -> float:
     """Distance from x to the nearest integer; 1-periodic, range [0, 1/2]."""
     f = x - math.floor(x)
@@ -167,20 +148,16 @@ def takagi_array(xs) -> np.ndarray:
     ``z = 2`` and at ``z = -0.0`` both are +0.0.  ``np.floor`` costs a
     fraction of ``np.remainder``.
     """
-    terms = binary_truncation().terms
-
-    def term_loop(y: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(y)
-        w = 1.0
-        for _ in range(terms):
-            f = y - np.floor(y)
-            total += w * np.minimum(f, 1.0 - f)
-            y = 2 * y
-            y -= np.floor(y)
-            w *= 0.5
-        return total
-
-    return _by_blocks(term_loop, xs)
+    y = _unit_array(xs)
+    total = np.zeros_like(y)
+    w = 1.0
+    for _ in range(binary_truncation().terms):
+        f = y - np.floor(y)
+        total += w * np.minimum(f, 1.0 - f)
+        y = 2 * y
+        y -= np.floor(y)
+        w *= 0.5
+    return total
 
 
 def lebesgue_L(a: float, x: float, depth: int = 60) -> float:
@@ -213,19 +190,16 @@ def lebesgue_L_array(a: float, xs, depth: int = 60) -> np.ndarray:
     """``lebesgue_L`` at every point of xs, bit-identical to the scalar route."""
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
-
-    def term_loop(t: np.ndarray) -> np.ndarray:
-        shift = np.zeros_like(t)
-        scale = np.ones_like(t)
-        for _ in range(depth):
-            left = t <= 0.5
-            shift = np.where(left, shift, shift + scale * a)
-            scale = np.where(left, scale * a, scale * (1 - a))
-            t = np.where(left, 2 * t, 2 * t - 1)
-            t = np.minimum(1.0, np.maximum(0.0, t))
-        return shift + scale * t
-
-    return _by_blocks(term_loop, xs)
+    t = _unit_array(xs)
+    shift = np.zeros_like(t)
+    scale = np.ones_like(t)
+    for _ in range(depth):
+        left = t <= 0.5
+        shift = np.where(left, shift, shift + scale * a)
+        scale = np.where(left, scale * a, scale * (1 - a))
+        t = np.where(left, 2 * t, 2 * t - 1)
+        t = np.minimum(1.0, np.maximum(0.0, t))
+    return shift + scale * t
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +322,17 @@ def okamoto_series_array(a: float, xs) -> np.ndarray:
         raise DomainError(f"parameter a={a} outside (0, 1)")
     p = np.array((a, 1 - 2 * a, a))
     q = np.array((0.0, a, 1 - a))
-    terms = kobayashi_truncation(a).terms
-
-    def term_loop(y: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(y)
-        prod = np.ones_like(y)
-        for _ in range(terms):
-            y3 = 3 * y
-            d = np.minimum(2.0, np.floor(y3))
-            y = y3 - d
-            k = d.astype(np.intp)
-            total += prod * q[k]
-            prod *= p[k]
-        return total
-
-    return _by_blocks(term_loop, xs)
+    y = _unit_array(xs)
+    total = np.zeros_like(y)
+    prod = np.ones_like(y)
+    for _ in range(kobayashi_truncation(a).terms):
+        y3 = 3 * y
+        d = np.minimum(2.0, np.floor(y3))
+        y = y3 - d
+        k = d.astype(np.intp)
+        total += prod * q[k]
+        prod *= p[k]
+    return total
 
 
 def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
@@ -424,22 +394,18 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
     ``z = 3``, which ``x = 1.0`` reaches, and at ``z = -0.0`` both are
     +0.0.  ``np.floor`` costs a fraction of ``np.remainder``.
     """
-    terms = (trunc or ternary_truncation()).terms
-
-    def term_loop(y: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(y)
-        w = 1.0
-        for _ in range(terms):
-            f = y - np.floor(y)
-            total += w * np.where(
-                f <= 1 / 3, 3 * f, np.where(f <= 2 / 3, 3 * (1 - 2 * f), 3 * (f - 1))
-            )
-            y = 3 * y
-            y -= np.floor(y)
-            w /= 3.0
-        return total
-
-    return _by_blocks(term_loop, xs)
+    y = _unit_array(xs)
+    total = np.zeros_like(y)
+    w = 1.0
+    for _ in range((trunc or ternary_truncation()).terms):
+        f = y - np.floor(y)
+        total += w * np.where(
+            f <= 1 / 3, 3 * f, np.where(f <= 2 / 3, 3 * (1 - 2 * f), 3 * (f - 1))
+        )
+        y = 3 * y
+        y -= np.floor(y)
+        w /= 3.0
+    return total
 
 
 def k_series_digits(x: DigitSeq, trunc: SeriesTruncation | None = None) -> float:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import okamoto_k
-from okamoto_k import cli, dimension, functions
-from okamoto_k.cli import _csv_points, _json_doc, _json_points_doc, _svg_points, main
+from okamoto_k import cli, dimension
+from okamoto_k.cli import (
+    _csv_points, _json_doc, _json_points_doc, _point_blocks, _svg_points, main,
+)
 from okamoto_k.functions import k_series_phi, okamoto_series
 
 from oracles import csv_per_point, subdivision_fractions, svg_per_point
@@ -125,14 +128,37 @@ class TestEval:
         assert code == 0
         assert out == "x,value\n0,0\n0.5,0\n1,0\n"
 
-    @pytest.mark.parametrize("fn", ["takagi", "lebesgue", "okamoto", "Kn"])
-    def test_terms_only_for_k(self, capsys, fn):
+    @pytest.mark.parametrize(
+        "fn,option",
+        [
+            ("takagi", "a"), ("takagi", "terms"), ("takagi", "level"),
+            ("lebesgue", "terms"), ("lebesgue", "level"),
+            ("okamoto", "terms"), ("okamoto", "level"),
+            ("K", "a"), ("K", "level"),
+            ("Kn", "a"), ("Kn", "terms"),
+        ],
+    )
+    def test_unread_option_is_usage_error(self, capsys, fn, option):
+        # every option an --fn does not read, at a value it would accept
+        value = "0.5" if option == "a" else "3"
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--fn", fn, "--samples", "5", "--terms", "3"])
+            main(["eval", "--fn", fn, "--samples", "5", f"--{option}", value])
         out = capsys.readouterr()
         assert exc.value.code == 2
         assert out.out == ""
-        assert "--terms" in out.err
+        assert f"argument --{option}: applies to --fn " in out.err
+
+    @pytest.mark.parametrize("samples", [10**6 + 1, 10**15])
+    def test_sample_cap(self, capsys, tmp_path, samples):
+        target = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "eval", "--fn", "takagi", "--samples", str(samples),
+            "--output", str(target),
+        )
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {samples} samples exceed cap of 1000000\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize(
@@ -148,11 +174,11 @@ class TestEval:
     ):
         if block:
             monkeypatch.setattr(cli, "_POINT_BLOCK", block)
-            monkeypatch.setattr(functions, "_BLOCK", block)
         n = 3**5 + 1
+        # K reads no --a; its json "a" is the default 1/3, where K is dF_a/da
+        opts = [] if fn == "K" else ["--a", repr(a)]
         code, out, _ = run(
-            capsys, "eval", "--fn", fn, "--a", repr(a), "--samples", str(n),
-            "--format", fmt,
+            capsys, "eval", "--fn", fn, *opts, "--samples", str(n), "--format", fmt
         )
         assert code == 0
         points = [(x, route(x)) for x in (i / (n - 1) for i in range(n))]
@@ -193,24 +219,45 @@ def test_block_writers_match_per_point_writers(monkeypatch, block, yrange):
     xs = np.repeat(AWKWARD, len(AWKWARD))
     values = np.tile(AWKWARD, len(AWKWARD))
     points = list(zip(xs.tolist(), values.tolist()))
-    assert _csv_points(xs, values) == csv_per_point(points)
-    assert _svg_points(xs, values, *yrange) == svg_per_point(points, *yrange)
+    assert _csv_points(_point_blocks(xs, values)) == csv_per_point(points)
+    assert _svg_points(_point_blocks(xs, values), *yrange) == svg_per_point(
+        points, *yrange
+    )
     # x values that the map x -> 40 + 720 x sends next to the finite ones,
     # so that %.2f meets them as pixel coordinates
     near = (np.array(AWKWARD[:-3]) - 40) / 720
-    assert _svg_points(near, near, *yrange) == svg_per_point(
+    assert _svg_points(_point_blocks(near, near), *yrange) == svg_per_point(
         list(zip(near.tolist(), near.tolist())), *yrange
     )
 
 
-def test_json_points_doc_matches_json_dumps():
-    points = [
-        (0.0, -0.0), (5e-324, 1e-300), (1e-7, 1 / 3), (0.1 + 0.2, 1e16),
-        (1.0, -1.5), (123456789.0, 1e22),
-    ]
+def test_json_points_doc_matches_json_dumps(monkeypatch):
+    # every pairing of the finite awkward floats: 19 * 19 points
+    finite = AWKWARD[:-3]
+    xs = np.repeat(finite, len(finite))
+    values = np.tile(finite, len(finite))
+    points = list(zip(xs.tolist(), values.tolist()))
     payload = {"command": "eval", "fn": "K", "a": 0.1, "samples": len(points)}
     want = _json_doc({**payload, "points": [[x, v] for x, v in points]})
-    assert _json_points_doc(payload, points) == want
+    assert _json_points_doc(payload, _point_blocks(xs, values)) == want
+    # in blocks of 7, the last one ragged
+    monkeypatch.setattr(cli, "_POINT_BLOCK", 7)
+    assert _json_points_doc(payload, _point_blocks(xs, values)) == want
+
+
+def test_make_figures_script(tmp_path, capsys):
+    # the script passes --a to lebesgue and mixes eval with construct calls
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
+    spec = importlib.util.spec_from_file_location("make_figures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.run(str(tmp_path))
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [
+        "construction_f1.svg", "construction_f2.svg", "k_graph.svg",
+        "lebesgue_a13.svg", "takagi.svg",
+    ]
+    assert all((tmp_path / n).read_text().startswith("<svg") for n in names)
 
 
 class TestConstruct:
