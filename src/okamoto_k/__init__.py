@@ -5,12 +5,10 @@ from .derivative import (
     DerivativeClass,
     DivergenceWitness,
     SigmaDecomposition,
-    WalkTrace,
     billingsley_divergence_witness,
     classify_point,
     secant_slope,
     sigma_decompose,
-    walk_trace,
 )
 from .dimension import (
     BoxCountResult,

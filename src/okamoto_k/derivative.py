@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, ProofCheckError, RangeError
 from .functions import _k_terms, _ternary_order, k_exact
@@ -25,23 +26,6 @@ class DerivativeClass(enum.Enum):
     NO_INFINITE_DERIVATIVE = "NO_INFINITE_DERIVATIVE"
 
 
-@dataclass(frozen=True)
-class WalkTrace:
-    """The walk W(1..horizon) for one expansion, with its per-period drift."""
-
-    x: DigitSeq
-    horizon: int
-    values: tuple[int, ...]
-    period_drift: int
-
-    def __post_init__(self):
-        prev = 0
-        for v in self.values:
-            if v - prev not in (1, -2):
-                raise DomainError("walk steps must be +1 or -2")
-            prev = v
-
-
 def period_drift(x: DigitSeq) -> int:
     """Change of W over one period: L - 3 * (ones in the period).
 
@@ -51,17 +35,6 @@ def period_drift(x: DigitSeq) -> int:
         return 1
     ones = sum(1 for d in x.period if d == 1)
     return len(x.period) - 3 * ones
-
-
-def walk_trace(x: DigitSeq, horizon: int) -> WalkTrace:
-    if horizon < 1:
-        raise RangeError("horizon must be >= 1")
-    values = []
-    w = 0
-    for k in range(1, horizon + 1):
-        w += 1 if digit_at(x, k) != 1 else -2
-        values.append(w)
-    return WalkTrace(x, horizon, tuple(values), period_drift(x))
 
 
 def classify_point(x: DigitSeq) -> DerivativeClass:
@@ -124,6 +97,14 @@ def billingsley_divergence_witness(x: DigitSeq, n: int) -> DivergenceWitness:
 # the four-part decomposition of a difference quotient of K
 
 
+def _ternary_digits(k: int, order: int) -> tuple[int, ...]:
+    """The ternary expansion of k / 3**order, 0 <= k < 3**order, to its last digit."""
+    digits = [0] * order
+    for pos in range(order - 1, -1, -1):
+        k, digits[pos] = divmod(k, 3)
+    return tuple(digits)
+
+
 @dataclass(frozen=True)
 class SigmaDecomposition:
     """Exact split of (K(x+h) - K(x)) / h into the four proof sums.
@@ -176,10 +157,10 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     while 3 ** (order - p) > j:
         p += 1
 
-    dx = expand_rational(x)
-    dy = expand_rational(x + h)
+    dx = _ternary_digits(i, order)
+    dy = _ternary_digits(i + j, order)
     k0 = 0
-    while k0 < p and digit_at(dx, k0 + 1) == digit_at(dy, k0 + 1):
+    while k0 < p and dx[k0] == dy[k0]:
         k0 += 1
     if k0 > p - 1:
         raise DomainError("shared prefix exceeds p - 1; inconsistent inputs")
@@ -204,7 +185,7 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
         case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
     else:
         case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
-    ref = 3 * walk_value(dx, n)  # the digit weight f(1, n) of x
+    ref = 3 * walk_value(DigitSeq(dx, (0,), x), n)  # the digit weight f(1, n) of x
     low, high = ref - below, ref + above
 
     if not -6 <= sigma2 <= 3:
@@ -274,11 +255,11 @@ def sigma_fuzz(trials: int, seed: int, max_order: int = 10) -> dict:
 def classification_report(x: Fraction, walk_prefix: int = 20) -> dict:
     """JSON-ready classification of a rational point."""
     seq = expand_rational(x)
-    trace = walk_trace(seq, walk_prefix)
+    steps = (1 if digit_at(seq, k) != 1 else -2 for k in range(1, walk_prefix + 1))
     return {
         "x": f"{x.numerator}/{x.denominator}",
         "expansion": seq.to_json(),
         "drift": period_drift(seq),
         "verdict": classify_point(seq).value,
-        "walk_prefix": list(trace.values),
+        "walk_prefix": list(accumulate(steps)),
     }

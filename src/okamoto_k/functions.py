@@ -293,24 +293,20 @@ def _float_digits(x: float, n: int) -> list[int]:
 
 def okamoto_series(
     a: float,
-    x: "float | DigitSeq",
+    x: float,
     trunc: SeriesTruncation | None = None,
 ) -> float:
     """Digit-product series for F_a(x); error <= trunc.tail_bound."""
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
+    if not 0 <= x <= 1:
+        raise DomainError(f"{x} outside [0, 1]")
     trunc = trunc or kobayashi_truncation(a)
     p = (a, 1 - 2 * a, a)
     q = (0.0, a, 1 - a)
-    if isinstance(x, DigitSeq):
-        digits = [digit_at(x, k) for k in range(1, trunc.terms + 1)]
-    else:
-        if not 0 <= x <= 1:
-            raise DomainError(f"{x} outside [0, 1]")
-        digits = _float_digits(float(x), trunc.terms)
     total = 0.0
     prod = 1.0
-    for d in digits:
+    for d in _float_digits(float(x), trunc.terms):
         total += prod * q[d]
         prod *= p[d]
     return total

@@ -260,6 +260,21 @@ def test_make_figures_script(tmp_path, capsys):
     assert all((tmp_path / n).read_text().startswith("<svg") for n in names)
 
 
+def test_run_experiments_script_parses(tmp_path, capsys):
+    # every argv the script passes must parse; nothing is run
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    script.cli_main = lambda argv: calls.append(argv) or 0
+    script.run(str(tmp_path), 7)
+    capsys.readouterr()
+    assert len(calls) == 4
+    for argv in calls:
+        cli._build_parser().parse_args(argv)
+
+
 class TestConstruct:
     def test_level_one_ordinates(self, capsys):
         code, out, _ = run(
@@ -366,7 +381,46 @@ def test_range_error_from_the_library(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+WALK_5 = ["walk-mc", "--samples", "5", "--horizon", "5"]
+SIGMA_5 = ["sigma-fuzz", "--trials", "5"]
+
+# the flags each experiment reads, with a value it would accept
+EXPERIMENT_FLAGS = {
+    "box-dim": {"--a": "2/3", "--levels": "4"},
+    "walk-mc": {"--samples": "2", "--horizon": "10", "--seed": "3"},
+    "sigma-fuzz": {"--trials": "2", "--seed": "3"},
+    "hata-yamaguti": {"--grid": "2", "--step": "1e-5"},
+}
+ALL_FLAGS = {k: v for flags in EXPERIMENT_FLAGS.values() for k, v in flags.items()}
+
+
 class TestExperiment:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [name, flag, value]
+            for name, flags in EXPERIMENT_FLAGS.items()
+            for flag, value in ALL_FLAGS.items()
+            if flag not in flags
+        ]
+        + [
+            ["hata-yamaguti", "--grid", "2", "--seed", "5"],
+            ["hata-yamaguti", "--grid", "2", "--trials", "3", "--a", "7"],
+            ["--seed", "3", "walk-mc"],  # a flag before the name
+        ],
+        ids=" ".join,
+    )
+    def test_unread_flag_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *argv, "--output", str(target)])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert not target.exists()
+        if argv[0] in EXPERIMENT_FLAGS:
+            assert "unrecognized arguments: " in out.err
+
     def test_sigma_fuzz_clean(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "sigma-fuzz", "--trials", "200", "--seed", "1"
@@ -401,30 +455,24 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["walk-mc", "--seed", "-1"],
-            ["walk-mc", "--seed", str(2**64)],
-            ["sigma-fuzz", "--seed", "-1"],
-            ["sigma-fuzz", "--seed", str(2**128)],
+            [*WALK_5, "--seed", "-1"],
+            [*WALK_5, "--seed", str(2**64)],
+            [*SIGMA_5, "--seed", "-1"],
+            [*SIGMA_5, "--seed", str(2**128)],
         ],
     )
     def test_seed_outside_philox_key(self, capsys, argv):
-        code, out, err = run(
-            capsys, "experiment", *argv, "--samples", "5", "--horizon", "5",
-            "--trials", "5",
-        )
+        code, out, err = run(capsys, "experiment", *argv)
         assert code == 3
         assert out == ""
         assert "seed" in err
 
     @pytest.mark.parametrize(
         "argv",
-        [["walk-mc", "--seed", str(2**64 - 1)], ["sigma-fuzz", "--seed", str(2**128 - 1)]],
+        [[*WALK_5, "--seed", str(2**64 - 1)], [*SIGMA_5, "--seed", str(2**128 - 1)]],
     )
     def test_largest_seed_runs(self, capsys, argv):
-        code, _, _ = run(
-            capsys, "experiment", *argv, "--samples", "5", "--horizon", "5",
-            "--trials", "5",
-        )
+        code, _, _ = run(capsys, "experiment", *argv)
         assert code == 0
 
     def test_walk_mc_horizon_cap(self, capsys):

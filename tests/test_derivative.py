@@ -24,7 +24,6 @@ from okamoto_k.derivative import (
     secant_slope,
     sigma_decompose,
     sigma_fuzz,
-    walk_trace,
 )
 from okamoto_k.errors import DomainError, ProofCheckError
 from okamoto_k.ternary import (
@@ -70,20 +69,6 @@ class TestClassifyPoint:
         assert classify_point(expand_rational(x)) == classify_point(
             expand_rational(1 - x)
         )
-
-
-class TestWalkTrace:
-    def test_five_ninths(self):
-        trace = walk_trace(expand_rational(Fraction(5, 9)), 4)
-        assert trace.values == (-2, -1, 0, 1)
-
-    def test_constant_digits(self):
-        assert walk_trace(expand_rational(Fraction(0)), 3).values == (1, 2, 3)
-        assert walk_trace(expand_rational(Fraction(1, 2)), 3).values == (-2, -4, -6)
-
-    def test_drift_matches_period(self):
-        trace = walk_trace(expand_rational(Fraction(1, 4)), 10)
-        assert trace.period_drift == 2
 
 
 class TestSecantSlope:
@@ -222,3 +207,14 @@ class TestClassificationReport:
         assert rep["drift"] == 2
         assert len(rep["walk_prefix"]) == 20
         assert rep["expansion"] == {"preperiod": [], "period": [0, 2]}
+
+    def test_walk_prefix_five_ninths(self):
+        # 5/9 = 0.12000... in base 3
+        walk = classification_report(Fraction(5, 9))["walk_prefix"]
+        assert walk == [-2, -1, 0] + list(range(1, 18))
+
+    def test_walk_prefix_constant_digits(self):
+        assert classification_report(Fraction(0))["walk_prefix"] == list(range(1, 21))
+        assert classification_report(Fraction(1, 2))["walk_prefix"] == list(
+            range(-2, -41, -2)
+        )
