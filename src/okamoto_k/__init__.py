@@ -24,7 +24,6 @@ from .dimension import (
 from .errors import (
     DomainError,
     ProofCheckError,
-    RangeError,
     ResourceLimitError,
 )
 from .functions import (

@@ -3,8 +3,9 @@
 argparse dispatches each command, and each experiment, through
 ``set_defaults``; an experiment's parser holds only the flags it reads.
 
-All output is assembled in memory and written in one shot, so a failed
-run never leaves a partial file, and identical configs (plus seed) give
+Each command returns its whole output as text, and ``main`` writes it in
+one shot after the command has returned, so a failed run writes nothing
+and never leaves a partial file; identical configs (plus seed) give
 byte-identical output.  Exit codes: 0 success, 2 usage, 3 domain error,
 4 resource cap exceeded.
 """
@@ -28,7 +29,7 @@ from .dimension import (
     box_dimension_formula,
     walk_monte_carlo,
 )
-from .errors import DomainError, RangeError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .functions import (
     hata_yamaguti_residual,
     k_series_phi_array,
@@ -197,7 +198,7 @@ _EVAL_FNS = {
 }
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> str:
     n = args.samples
     if n < 2:
         raise DomainError("need --samples >= 2")
@@ -209,15 +210,12 @@ def _cmd_eval(args) -> int:
     xs = sample_grid(n)
     blocks = ((xb, route(xb)) for (xb,) in _point_blocks(xs))
     if args.format == "csv":
-        text = _csv_points(blocks)
-    elif args.format == "json":
+        return _csv_points(blocks)
+    if args.format == "json":
         a = _DEFAULT_A if args.a is None else args.a
         payload = {"command": "eval", "fn": args.fn, "a": a, "samples": n}
-        text = _json_points_doc(payload, blocks)
-    else:
-        text = _svg_points(blocks, ylo, yhi)
-    _emit(text, _resolve_output(args.output))
-    return 0
+        return _json_points_doc(payload, blocks)
+    return _svg_points(blocks, ylo, yhi)
 
 
 def _reduced(num: int, den: int) -> str:
@@ -226,13 +224,13 @@ def _reduced(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> str:
     a = _parse_rational(args.a)
     pl = okamoto_iterative(a, args.level)
     denom = 3**args.level
     ord_den = pl.denominator
     if args.format == "json":
-        text = _json_doc(
+        return _json_doc(
             {
                 "command": "construct",
                 "a": str(a),
@@ -241,23 +239,16 @@ def _cmd_construct(args) -> int:
                 "ordinates": [_reduced(n, ord_den) for n in pl.numerators],
             }
         )
-    else:
-        xs = np.arange(denom + 1) / denom  # k / denom: k and denom are exact doubles
-        # n / ord_den is correctly rounded on big ints: float(Fraction(n, ord_den))
-        ys = np.array([n / ord_den for n in pl.numerators])
-        if args.format == "csv":
-            text = _csv_points(_point_blocks(xs, ys))
-        else:
-            text = _svg_points(_point_blocks(xs, ys), 0.0, 1.0)
-    _emit(text, _resolve_output(args.output))
-    return 0
+    xs = np.arange(denom + 1) / denom  # k / denom: k and denom are exact doubles
+    # n / ord_den is correctly rounded on big ints: float(Fraction(n, ord_den))
+    ys = np.array([n / ord_den for n in pl.numerators])
+    if args.format == "csv":
+        return _csv_points(_point_blocks(xs, ys))
+    return _svg_points(_point_blocks(xs, ys), 0.0, 1.0)
 
 
-def _cmd_classify(args) -> int:
-    x = _parse_rational(args.x)
-    text = _json_doc(classification_report(x))
-    _emit(text, _resolve_output(args.output))
-    return 0
+def _cmd_classify(args) -> str:
+    return _json_doc(classification_report(_parse_rational(args.x)))
 
 
 def _run_box_dim(args) -> tuple[dict, dict]:
@@ -291,11 +282,9 @@ def _run_hata_yamaguti(args) -> tuple[dict, dict]:
     return {"grid": args.grid, "h": args.step}, {"max_abs_residual": worst}
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> str:
     params, results = args.run(args)
-    payload = {"experiment": args.name, "params": params, "results": results}
-    _emit(_json_doc(payload), _resolve_output(args.output))
-    return 0
+    return _json_doc({"experiment": args.name, "params": params, "results": results})
 
 
 @cache
@@ -381,13 +370,15 @@ def main(argv: list[str] | None = None) -> int:
                     f"only, not --fn {args.fn}"
                 )
     try:
-        return args.func(args)
-    except (DomainError, RangeError) as exc:
+        text = args.func(args)
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    _emit(text, _resolve_output(args.output))
+    return 0
 
 
 if __name__ == "__main__":

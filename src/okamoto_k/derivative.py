@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError, ProofCheckError, RangeError
+from .errors import DomainError, ProofCheckError
 from .functions import _k_terms, _ternary_order, k_exact
 from .ternary import DigitSeq, digit_at, expand_rational, walk_value
+
+_FUZZ_ORDER = 10  # sigma_fuzz draws pairs k / 3**m with m up to this order
+_WALK_PREFIX = 20  # steps of W that classification_report lists
 
 
 class DerivativeClass(enum.Enum):
@@ -59,7 +62,7 @@ def secant_slope(x: DigitSeq, n: int) -> Fraction:
     (K(v) - K(u)) / (v - u), computed from the exact rational K.
     """
     if n < 1:
-        raise RangeError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     if x.value == 1:
         raise DomainError("x = 1 has no level-n interval to the right")
     scale = 3**n
@@ -85,7 +88,7 @@ def billingsley_divergence_witness(x: DigitSeq, n: int) -> DivergenceWitness:
     the slope sequence cannot converge to a finite limit.
     """
     if n < 2:
-        raise RangeError("need horizon >= 2")
+        raise DomainError("need horizon >= 2")
     sums = tuple(secant_slope(x, k) for k in range(1, n + 1))
     diffs = tuple(b - a for a, b in zip(sums, sums[1:]))
     first_ok = sums[0] in (3, -6)
@@ -213,7 +216,7 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     )
 
 
-def random_ternary_pair(rng, max_order: int = 10) -> tuple[Fraction, Fraction]:
+def random_ternary_pair(rng, max_order: int) -> tuple[Fraction, Fraction]:
     """Random exact (x, h) with 0 <= x < x + h < 1, both ternary rationals."""
     m = int(rng.integers(2, max_order + 1))
     denom = 3**m
@@ -222,11 +225,11 @@ def random_ternary_pair(rng, max_order: int = 10) -> tuple[Fraction, Fraction]:
     return Fraction(i, denom), Fraction(j, denom)
 
 
-def sigma_fuzz(trials: int, seed: int, max_order: int = 10) -> dict:
+def sigma_fuzz(trials: int, seed: int) -> dict:
     """Run the decomposition on random exact pairs; report bound violations.
 
-    The pairs come from ``Philox(key=seed)``; raises DomainError unless
-    0 <= seed < 2**128, the range of a Philox key.
+    The pairs, of order up to ``_FUZZ_ORDER``, come from ``Philox(key=seed)``;
+    raises DomainError unless 0 <= seed < 2**128, the range of a Philox key.
     """
     import numpy as np
 
@@ -236,7 +239,7 @@ def sigma_fuzz(trials: int, seed: int, max_order: int = 10) -> dict:
     violations = 0
     cases = {"k0<=p-3": 0, "k0==p-2": 0, "k0==p-1": 0}
     for _ in range(trials):
-        xv, hv = random_ternary_pair(rng, max_order)
+        xv, hv = random_ternary_pair(rng, _FUZZ_ORDER)
         try:
             dec = sigma_decompose(xv, hv)
         except ProofCheckError:
@@ -246,16 +249,16 @@ def sigma_fuzz(trials: int, seed: int, max_order: int = 10) -> dict:
     return {
         "trials": trials,
         "seed": seed,
-        "max_order": max_order,
+        "max_order": _FUZZ_ORDER,
         "violations": violations,
         "cases": cases,
     }
 
 
-def classification_report(x: Fraction, walk_prefix: int = 20) -> dict:
-    """JSON-ready classification of a rational point."""
+def classification_report(x: Fraction) -> dict:
+    """JSON-ready classification of a rational point, with W(1..20)."""
     seq = expand_rational(x)
-    steps = (1 if digit_at(seq, k) != 1 else -2 for k in range(1, walk_prefix + 1))
+    steps = (1 if digit_at(seq, k) != 1 else -2 for k in range(1, _WALK_PREFIX + 1))
     return {
         "x": f"{x.numerator}/{x.denominator}",
         "expansion": seq.to_json(),

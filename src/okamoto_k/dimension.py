@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .functions import okamoto_iterative
 
 LN3 = math.log(3.0)
+_FIT_MIN_LEVEL = 3  # box levels below this are boundary-dominated
+_BOX_LEVEL_CAP = 10  # finest box level: 3**10 + 1 breakpoints
 
 
 def box_dimension_formula(a: float) -> float:
@@ -40,12 +42,7 @@ class BoxCountResult:
     fit_levels: tuple[int, ...]
 
 
-def box_dimension_estimate(
-    a: Fraction,
-    max_level: int,
-    fit_min_level: int = 3,
-    cap_level: int = 10,
-) -> BoxCountResult:
+def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
     """Count 3^-j boxes meeting the exact level-max_level graph, j = 1..max_level.
 
     Columns align with the subdivision breakpoints, so the column extremes
@@ -53,18 +50,19 @@ def box_dimension_estimate(
     counted whenever the closed box meets the graph.  The counts run on the
     graph's integer numerators n / den: a column meets the boxes from
     min(n) * 3^j // den to max(n) * 3^j // den.  The dimension is the
-    slope of log N against log 3^j over levels >= fit_min_level (the
-    coarsest scales are excluded as boundary-dominated).  Raises
-    DomainError when fewer than two levels are left to fit.
+    slope of log N against log 3^j over levels ``_FIT_MIN_LEVEL`` = 3 to
+    max_level (the coarsest scales are excluded as boundary-dominated).
+    Raises DomainError when fewer than two levels are left to fit, and
+    ResourceLimitError for max_level above ``_BOX_LEVEL_CAP`` = 10.
     """
-    fit_levels = tuple(range(max(1, fit_min_level), max_level + 1))
+    fit_levels = tuple(range(_FIT_MIN_LEVEL, max_level + 1))
     if len(fit_levels) < 2:
         raise DomainError(
-            f"levels {max(1, fit_min_level)}..{max_level} leave fewer than two to fit"
+            f"levels {_FIT_MIN_LEVEL}..{max_level} leave fewer than two to fit"
         )
-    if max_level > cap_level:
-        raise RangeError(f"max_level {max_level} exceeds cap {cap_level}")
-    pl = okamoto_iterative(Fraction(a), max_level, cap=3**cap_level + 1)
+    if max_level > _BOX_LEVEL_CAP:
+        raise ResourceLimitError(f"max_level {max_level} exceeds cap {_BOX_LEVEL_CAP}")
+    pl = okamoto_iterative(Fraction(a), max_level)
     nums, den = pl.numerators, pl.denominator
     counts = []
     for j in range(1, max_level + 1):
@@ -233,8 +231,11 @@ def crossing_probability_dp(horizon: int) -> float:
     return 1.0 - float(pos.sum() + neg.sum())
 
 
-def a0_root(residual_tol: float = 1e-13, max_iter: int = 200) -> float:
-    """Root of 54 a^3 - 27 a^2 = 1 in (1/2, 1), by bisection."""
+def a0_root() -> float:
+    """Root of 54 a^3 - 27 a^2 = 1 in (1/2, 1), by bisection.
+
+    Stops at a residual below 1e-13 or after 200 halvings.
+    """
 
     def f(a: float) -> float:
         return 54 * a**3 - 27 * a**2 - 1
@@ -243,10 +244,10 @@ def a0_root(residual_tol: float = 1e-13, max_iter: int = 200) -> float:
     if not (f(lo) < 0 < f(hi)):
         raise DomainError("bracket does not straddle the root")
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = f(mid)
-        if abs(val) < residual_tol:
+        if abs(val) < 1e-13:
             break
         if val < 0:
             lo = mid

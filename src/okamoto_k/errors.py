@@ -2,11 +2,8 @@
 
 
 class DomainError(ValueError):
-    """Input outside the mathematical domain of an operation."""
-
-
-class RangeError(ValueError):
-    """Digit position, level or horizon outside its allowed range."""
+    """Input outside the mathematical domain of an operation, or a digit
+    position, level or horizon outside its allowed range."""
 
 
 class ResourceLimitError(RuntimeError):

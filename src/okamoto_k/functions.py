@@ -31,7 +31,8 @@ from .errors import DomainError, ResourceLimitError
 from .ternary import DigitSeq, digit_at
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
-BINARY_TERMS = 50
+BINARY_TERMS = 50  # the Takagi series: tail <= 2**-50
+LEBESGUE_DEPTH = 60  # binary digits unrolled by L_a: error <= max(a, 1-a)**60
 
 _S = (0, 1, -1)  # sign weight per digit
 _ITERATIVE_CAP = 3**12 + 1
@@ -60,9 +61,9 @@ def ternary_truncation(terms: int = TERNARY_TERMS) -> SeriesTruncation:
     """
     return SeriesTruncation(terms, 1.5 * 3.0 ** -max(terms, 1))
 
-def binary_truncation(terms: int = BINARY_TERMS) -> SeriesTruncation:
-    """Truncation for the Takagi series: phi <= 1/2, tail <= 2^-N."""
-    return SeriesTruncation(terms, 2.0 ** (-terms))
+def binary_truncation() -> SeriesTruncation:
+    """Truncation for the Takagi series: phi <= 1/2, tail <= 2^-BINARY_TERMS."""
+    return SeriesTruncation(BINARY_TERMS, 2.0**-BINARY_TERMS)
 
 
 def contraction_ratio(a: float) -> float:
@@ -123,15 +124,17 @@ def big_phi(x: float) -> float:
 # Takagi and the binary singular function
 
 
-def takagi(x: float, trunc: SeriesTruncation | None = None) -> float:
-    """Partial sum of sum_n 2^-n phi(2^n x); error <= trunc.tail_bound."""
+def takagi(x: float) -> float:
+    """Partial sum of sum_n 2^-n phi(2^n x) over ``BINARY_TERMS`` terms.
+
+    The error is at most ``binary_truncation().tail_bound`` = 2^-50.
+    """
     if not 0 <= x <= 1:
         raise DomainError(f"{x} outside [0, 1]")
-    trunc = trunc or binary_truncation()
     total = 0.0
     y = x
     w = 1.0
-    for _ in range(trunc.terms):
+    for _ in range(BINARY_TERMS):
         total += w * tent_phi(y)
         y = (2 * y) % 1.0
         w *= 0.5
@@ -151,7 +154,7 @@ def takagi_array(xs) -> np.ndarray:
     y = _unit_array(xs)
     total = np.zeros_like(y)
     w = 1.0
-    for _ in range(binary_truncation().terms):
+    for _ in range(BINARY_TERMS):
         f = y - np.floor(y)
         total += w * np.minimum(f, 1.0 - f)
         y = 2 * y
@@ -160,12 +163,12 @@ def takagi_array(xs) -> np.ndarray:
     return total
 
 
-def lebesgue_L(a: float, x: float, depth: int = 60) -> float:
+def lebesgue_L(a: float, x: float) -> float:
     """Binary self-affine singular function via its two-branch recursion.
 
-    Unrolls ``depth`` binary digits, tracking the accumulated affine map,
-    and closes with the identity (exact for a = 1/2, where L is the
-    identity).  Error <= max(a, 1-a)**depth.
+    Unrolls ``LEBESGUE_DEPTH`` binary digits, tracking the accumulated
+    affine map, and closes with the identity (exact for a = 1/2, where L is
+    the identity).  Error <= max(a, 1-a)**LEBESGUE_DEPTH.
     """
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
@@ -174,7 +177,7 @@ def lebesgue_L(a: float, x: float, depth: int = 60) -> float:
     shift = 0.0
     scale = 1.0
     t = x
-    for _ in range(depth):
+    for _ in range(LEBESGUE_DEPTH):
         if t <= 0.5:
             scale *= a
             t = 2 * t
@@ -186,14 +189,14 @@ def lebesgue_L(a: float, x: float, depth: int = 60) -> float:
     return shift + scale * t
 
 
-def lebesgue_L_array(a: float, xs, depth: int = 60) -> np.ndarray:
+def lebesgue_L_array(a: float, xs) -> np.ndarray:
     """``lebesgue_L`` at every point of xs, bit-identical to the scalar route."""
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
     t = _unit_array(xs)
     shift = np.zeros_like(t)
     scale = np.ones_like(t)
-    for _ in range(depth):
+    for _ in range(LEBESGUE_DEPTH):
         left = t <= 0.5
         shift = np.where(left, shift, shift + scale * a)
         scale = np.where(left, scale * a, scale * (1 - a))
@@ -248,9 +251,7 @@ class PiecewiseLinear:
         return float(self.value_exact(Fraction(x)))
 
 
-def okamoto_iterative(
-    a: Fraction, level: int, cap: int = _ITERATIVE_CAP
-) -> PiecewiseLinear:
+def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
     """Exact subdivision construction f_level of the family member.
 
     Each refinement replaces a segment by three, placing the interior
@@ -264,8 +265,10 @@ def okamoto_iterative(
         raise DomainError(f"parameter a={a} outside (0, 1)")
     if level < 0:
         raise DomainError("level must be >= 0")
-    if 3**level + 1 > cap:
-        raise ResourceLimitError(f"level {level} exceeds cap of {cap} breakpoints")
+    if 3**level + 1 > _ITERATIVE_CAP:
+        raise ResourceLimitError(
+            f"level {level} exceeds cap of {_ITERATIVE_CAP} breakpoints"
+        )
     p, q = a.numerator, a.denominator
     nums = [0, 1]
     for _ in range(level):
@@ -371,7 +374,7 @@ def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
         raise DomainError(f"{x} outside [0, 1]")
     trunc = trunc or ternary_truncation()
     total = 0.0
-    y = x - math.floor(x) if x != 1.0 else 1.0
+    y = x
     w = 1.0
     for _ in range(trunc.terms):
         total += w * big_phi(y)
@@ -404,16 +407,16 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
     return total
 
 
-def k_series_digits(x: DigitSeq, trunc: SeriesTruncation | None = None) -> float:
+def k_series_digits(x: DigitSeq) -> float:
     """K via the digit series with weights s(d) + (n - 3*I1(1,n)) * d.
 
     s(0)=0, s(1)=1, s(2)=-1; I1(1,n) counts 1's among the first n digits.
+    Sums ``TERNARY_TERMS`` terms, like ``k_series_phi`` at its default.
     """
-    trunc = trunc or ternary_truncation()
     total = 0.0
     ones = 0
     w = 1.0
-    for n in range(trunc.terms):
+    for n in range(TERNARY_TERMS):
         d = digit_at(x, n + 1)
         total += w * (_S[d] + (n - 3 * ones) * d)
         if d == 1:
@@ -471,39 +474,24 @@ def k_exact(x: Fraction) -> Fraction:
     return Fraction(sum(_k_terms(x.numerator, m)), 3**m)
 
 
-def dFa_da_fd(
-    a: float,
-    x: float,
-    h: float = 1e-5,
-    terms: int | None = None,
-    richardson: bool = False,
-) -> float:
-    """Central finite difference of F_a(x) in the parameter a.
+def dFa_da_fd(a: float, x: float, h: float) -> float:
+    """Central finite difference of F_a(x) in the parameter a, step h.
 
-    At a = 1/3 this converges to K(x) as h -> 0.  ``richardson`` applies
-    one step of extrapolation, upgrading the O(h^2) difference to O(h^4).
+    At a = 1/3 this converges to K(x) as h -> 0.
     """
     if not (0 < a - h and a + h < 1):
         raise DomainError("a +- h must stay inside (0, 1)")
-
-    def central(step: float) -> float:
-        n = terms or max(
-            kobayashi_terms_for(a + step, 1e-14), kobayashi_terms_for(a - step, 1e-14)
-        )
-        hi = okamoto_series(a + step, x, kobayashi_truncation(a + step, n))
-        lo = okamoto_series(a - step, x, kobayashi_truncation(a - step, n))
-        return (hi - lo) / (2 * step)
-
-    if richardson:
-        return (4 * central(h / 2) - central(h)) / 3
-    return central(h)
+    n = max(kobayashi_terms_for(a + h, 1e-14), kobayashi_terms_for(a - h, 1e-14))
+    hi = okamoto_series(a + h, x, kobayashi_truncation(a + h, n))
+    lo = okamoto_series(a - h, x, kobayashi_truncation(a - h, n))
+    return (hi - lo) / (2 * h)
 
 
-def hata_yamaguti_residual(grid: int = 100, h: float = 1e-6, depth: int = 60) -> float:
+def hata_yamaguti_residual(grid: int, h: float) -> float:
     """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|."""
     xs = sample_grid(grid + 1)
-    hi = lebesgue_L_array(0.5 + h, xs, depth)
-    lo = lebesgue_L_array(0.5 - h, xs, depth)
+    hi = lebesgue_L_array(0.5 + h, xs)
+    lo = lebesgue_L_array(0.5 - h, xs)
     fd = (hi - lo) / (2 * h)
     return float(np.max(np.abs(fd - 2 * takagi_array(xs))))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 
 
 def _digits_value(digits: tuple[int, ...], lo: int, hi: int) -> int:
@@ -97,7 +97,7 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
 def digit_at(x: DigitSeq, k: int) -> int:
     """Digit at 1-based position k of the canonical expansion."""
     if k < 1:
-        raise RangeError("digit positions are 1-based")
+        raise DomainError("digit positions are 1-based")
     if k <= len(x.preperiod):
         return x.preperiod[k - 1]
     if not x.period:
@@ -127,5 +127,5 @@ def _prefix_count(x: DigitSeq, i: int, n: int) -> int:
 def walk_value(x: DigitSeq, n: int) -> int:
     """W(n) = n - 3 * (number of 1's among the first n digits); W(0) = 0."""
     if n < 0:
-        raise RangeError("n must be >= 0")
+        raise DomainError("n must be >= 0")
     return n - 3 * _prefix_count(x, 1, n)

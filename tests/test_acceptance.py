@@ -183,7 +183,7 @@ def test_criterion_06_classifier():
 
 def test_criterion_07_sigma_fuzz():
     start = time.perf_counter()
-    result = sigma_fuzz(10_000, seed=1, max_order=10)
+    result = sigma_fuzz(10_000, seed=1)
     elapsed = time.perf_counter() - start
     assert result["violations"] == 0
     assert sum(result["cases"].values()) == 10_000
@@ -197,10 +197,10 @@ def test_criterion_07_sigma_fuzz():
 
 def test_criterion_08_box_dimension():
     start = time.perf_counter()
-    est = box_dimension_estimate(Fraction(2, 3), 8, fit_min_level=3)
+    est = box_dimension_estimate(Fraction(2, 3), 8)
     want = box_dimension_formula(2 / 3)
     assert abs(est.fitted_dimension - want) < 0.05
-    est_flat = box_dimension_estimate(Fraction(1, 3), 8, fit_min_level=3)
+    est_flat = box_dimension_estimate(Fraction(1, 3), 8)
     assert abs(est_flat.fitted_dimension - 1.0) < 0.05
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -509,12 +509,24 @@ class TestOutputHandling:
         assert code == 0
         assert (tmp_path / "verdict.json").exists()
 
-    def test_no_file_written_on_domain_error(self, tmp_path, capsys):
-        target = tmp_path / "out.csv"
-        code = main(
-            ["eval", "--fn", "lebesgue", "--a", "7", "--samples", "9",
-             "--output", str(target)]
-        )
-        capsys.readouterr()
-        assert code == 3
+    @pytest.mark.parametrize(
+        "argv,exit_code",
+        [
+            (["eval", "--fn", "lebesgue", "--a", "7", "--samples", "9"], 3),
+            (["construct", "--a", "2/5", "--level", "13"], 4),
+            (["classify", "3/2"], 3),
+            (["experiment", "box-dim", "--levels", "11"], 4),
+            (["experiment", "walk-mc", "--samples", "2", "--seed", "-1"], 3),
+            (["experiment", "sigma-fuzz", "--trials", "2", "--seed", "-1"], 3),
+            (["experiment", "hata-yamaguti", "--grid", "0"], 3),
+        ],
+        ids=["eval", "construct", "classify", "box-dim", "walk-mc", "sigma-fuzz",
+             "hata-yamaguti"],
+    )
+    def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == exit_code
+        assert out == ""
+        assert err.startswith("error: ")
         assert not target.exists()

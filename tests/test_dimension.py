@@ -15,7 +15,7 @@ from okamoto_k.dimension import (
     symmetric_triple,
     walk_monte_carlo,
 )
-from okamoto_k.errors import DomainError, RangeError, ResourceLimitError
+from okamoto_k.errors import DomainError, ResourceLimitError
 
 from oracles import (
     box_counts_fractions,
@@ -62,7 +62,7 @@ class TestBoxDimensionEstimate:
         assert list(result.counts) == sorted(result.counts)
 
     def test_level_cap(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ResourceLimitError):
             box_dimension_estimate(Fraction(2, 3), 11)
 
     @pytest.mark.parametrize(

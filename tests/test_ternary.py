@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okamoto_k.errors import DomainError, RangeError
+from okamoto_k.errors import DomainError
 from okamoto_k.ternary import (
     DigitSeq,
     digit_at,
@@ -131,5 +131,5 @@ class TestWalkAndWeight:
 
     def test_walk_starts_at_zero(self):
         assert walk_value(expand_rational(Fraction(1, 2)), 0) == 0
-        with pytest.raises(RangeError):
+        with pytest.raises(DomainError):
             walk_value(expand_rational(Fraction(1, 2)), -1)
