@@ -31,6 +31,7 @@ from .dimension import (
 )
 from .errors import DomainError, ResourceLimitError
 from .functions import (
+    _SAMPLES_CAP,
     hata_yamaguti_residual,
     k_series_phi_array,
     lebesgue_L_array,
@@ -46,7 +47,6 @@ OUTDIR_ENV = "OKAMOTO_K_OUTDIR"
 
 _POINT_BLOCK = 8192  # grid points that eval evaluates and formats at a time
 _TERMS_CAP = 1000  # K's weight 3^-n is 0.0 from term 680 on
-_SAMPLES_CAP = 10**6
 _DEFAULT_A = 1 / 3  # --a when not given, and eval's json "a" for every --fn
 
 Blocks = Iterable[tuple[np.ndarray, np.ndarray]]  # (xs, values) slices of a grid
@@ -202,12 +202,10 @@ def _cmd_eval(args) -> str:
     n = args.samples
     if n < 2:
         raise DomainError("need --samples >= 2")
-    if n > _SAMPLES_CAP:
-        raise ResourceLimitError(f"{n} samples exceed cap of {_SAMPLES_CAP}")
+    xs = sample_grid(n)
     option, default, make_route, (ylo, yhi) = _EVAL_FNS[args.fn]
     value = getattr(args, option) if option else None
     route = make_route(default if value is None else value)
-    xs = sample_grid(n)
     blocks = ((xb, route(xb)) for (xb,) in _point_blocks(xs))
     if args.format == "csv":
         return _csv_points(blocks)
@@ -360,6 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    flag = argv[1].partition("=")[0] if argv[:1] == ["experiment"] and argv[1:] else ""
+    if flag.startswith("--") and not "--help".startswith(flag):
+        # argparse would read the flag's value as the experiment name
+        parser.error(f"argument {flag}: flags go after the experiment name")
     args = parser.parse_args(argv)
     if args.command == "eval":
         for option in ("a", "terms", "level"):

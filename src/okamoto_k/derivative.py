@@ -13,11 +13,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import islice
 
 from .errors import DomainError, ProofCheckError
-from .functions import _k_terms, _ternary_order, k_exact
-from .ternary import DigitSeq, digit_at, expand_rational, walk_value
+from .functions import _k_terms, k_exact
+from .ternary import DigitSeq, _long_division, _ternary_order
+from .ternary import expand_rational, walk_value
 
 _FUZZ_ORDER = 10  # sigma_fuzz draws pairs k / 3**m with m up to this order
 _WALK_PREFIX = 20  # steps of W that classification_report lists
@@ -34,10 +35,7 @@ def period_drift(x: DigitSeq) -> int:
 
     The implicit all-0 tail of an empty period drifts +1 per step.
     """
-    if not x.period:
-        return 1
-    ones = sum(1 for d in x.period if d == 1)
-    return len(x.period) - 3 * ones
+    return (len(x.period) or 1) - 3 * x.period.count(1)
 
 
 def classify_point(x: DigitSeq) -> DerivativeClass:
@@ -100,14 +98,6 @@ def billingsley_divergence_witness(x: DigitSeq, n: int) -> DivergenceWitness:
 # the four-part decomposition of a difference quotient of K
 
 
-def _ternary_digits(k: int, order: int) -> tuple[int, ...]:
-    """The ternary expansion of k / 3**order, 0 <= k < 3**order, to its last digit."""
-    digits = [0] * order
-    for pos in range(order - 1, -1, -1):
-        k, digits[pos] = divmod(k, 3)
-    return tuple(digits)
-
-
 @dataclass(frozen=True)
 class SigmaDecomposition:
     """Exact split of (K(x+h) - K(x)) / h into the four proof sums.
@@ -160,8 +150,9 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     while 3 ** (order - p) > j:
         p += 1
 
-    dx = _ternary_digits(i, order)
-    dy = _ternary_digits(i + j, order)
+    dx, dy = (
+        [d for d, _ in islice(_long_division(k, scale), order)] for k in (i, i + j)
+    )
     k0 = 0
     while k0 < p and dx[k0] == dy[k0]:
         k0 += 1
@@ -188,7 +179,7 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
         case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
     else:
         case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
-    ref = 3 * walk_value(DigitSeq(dx, (0,), x), n)  # the digit weight f(1, n) of x
+    ref = 3 * walk_value(DigitSeq(tuple(dx), (0,), x), n)  # digit weight f(1, n)
     low, high = ref - below, ref + above
 
     if not -6 <= sigma2 <= 3:
@@ -258,11 +249,10 @@ def sigma_fuzz(trials: int, seed: int) -> dict:
 def classification_report(x: Fraction) -> dict:
     """JSON-ready classification of a rational point, with W(1..20)."""
     seq = expand_rational(x)
-    steps = (1 if digit_at(seq, k) != 1 else -2 for k in range(1, _WALK_PREFIX + 1))
     return {
         "x": f"{x.numerator}/{x.denominator}",
         "expansion": seq.to_json(),
         "drift": period_drift(seq),
         "verdict": classify_point(seq).value,
-        "walk_prefix": list(accumulate(steps)),
+        "walk_prefix": [walk_value(seq, n) for n in range(1, _WALK_PREFIX + 1)],
     }

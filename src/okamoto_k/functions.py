@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .ternary import DigitSeq, digit_at
+from .ternary import DigitSeq, _ternary_order, digit_at
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50  # the Takagi series: tail <= 2**-50
@@ -36,6 +36,7 @@ LEBESGUE_DEPTH = 60  # binary digits unrolled by L_a: error <= max(a, 1-a)**60
 
 _S = (0, 1, -1)  # sign weight per digit
 _ITERATIVE_CAP = 3**12 + 1
+_SAMPLES_CAP = 10**6  # points of sample_grid
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def lebesgue_L(a: float, x: float) -> float:
 
     Unrolls ``LEBESGUE_DEPTH`` binary digits, tracking the accumulated
     affine map, and closes with the identity (exact for a = 1/2, where L is
-    the identity).  Error <= max(a, 1-a)**LEBESGUE_DEPTH.
+    the identity).  Error <= max(a, 1-a)**LEBESGUE_DEPTH.  Steps stay in [0, 1].
     """
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
@@ -185,7 +186,6 @@ def lebesgue_L(a: float, x: float) -> float:
             shift += scale * a
             scale *= 1 - a
             t = 2 * t - 1
-        t = min(1.0, max(0.0, t))
     return shift + scale * t
 
 
@@ -201,7 +201,6 @@ def lebesgue_L_array(a: float, xs) -> np.ndarray:
         shift = np.where(left, shift, shift + scale * a)
         scale = np.where(left, scale * a, scale * (1 - a))
         t = np.where(left, 2 * t, 2 * t - 1)
-        t = np.minimum(1.0, np.maximum(0.0, t))
     return shift + scale * t
 
 
@@ -339,7 +338,8 @@ def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
 
     Branch ties go to the leftmost branch; the base case closes with the
     level-0 interpolant f_0(x) = x pushed through the accumulated affine
-    map, so the error is <= max(a, 1-a)**depth.
+    map, so the error is <= max(a, 1-a)**depth.  Steps stay in [0, 1]:
+    fl(3 * fl(1/3)) = 1, fl(3 * fl(2/3)) = 2, and subtractions are exact.
     """
     if not 0 < a < 1:
         raise DomainError(f"parameter a={a} outside (0, 1)")
@@ -360,7 +360,6 @@ def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
             shift += scale * (1 - a)
             scale *= a
             t = 3 * t - 2
-        t = min(1.0, max(0.0, t))
     return shift + scale * t
 
 
@@ -423,18 +422,6 @@ def k_series_digits(x: DigitSeq) -> float:
             ones += 1
         w /= 3.0
     return total
-
-
-def _ternary_order(x: Fraction) -> int:
-    """m such that 3**m * x is an integer; error if no such m exists."""
-    q = x.denominator
-    m = 0
-    while q % 3 == 0:
-        q //= 3
-        m += 1
-    if q != 1:
-        raise DomainError(f"{x} is not a ternary rational")
-    return m
 
 
 def _k_terms(k: int, m: int) -> list[int]:
@@ -500,4 +487,6 @@ def sample_grid(n: int) -> np.ndarray:
     """n evenly spaced points covering [0, 1] inclusive; point i is i / (n - 1)."""
     if n < 2:
         raise DomainError("need at least 2 grid points")
+    if n > _SAMPLES_CAP:
+        raise ResourceLimitError(f"{n} samples exceed cap of {_SAMPLES_CAP}")
     return np.arange(n) / (n - 1)

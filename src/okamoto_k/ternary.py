@@ -5,14 +5,46 @@ canonical convention: when a number has two expansions we keep the one
 ending in all 0's, except x = 1 which keeps the all-2's tail.  Digit
 indices are 1-based throughout, so ``digit_at(x, 1)`` is the first digit
 after the radix point.
+
+``_long_division`` gives every base-3 digit of an exact rational r/q.  With
+q = 3**s * q', 3 not dividing q', the first s digits are the preperiod, and
+the period closes when the remainder returns, as tripling permutes Z/q'.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+_PERIOD_CAP = 10**6  # digits of a period that expand_rational computes
+
+
+def _long_division(r: int, q: int) -> Iterator[tuple[int, int]]:
+    """The base-3 digits of r/q, 0 <= r < q, each with the remainder after it."""
+    while True:
+        d, r = divmod(3 * r, q)  # r < q keeps d in {0,1,2}
+        yield d, r
+
+
+def _split_threes(q: int) -> tuple[int, int]:
+    """(s, q') with q = 3**s * q' and 3 not dividing q'."""
+    s = 0
+    while q % 3 == 0:
+        q //= 3
+        s += 1
+    return s, q
+
+
+def _ternary_order(x: Fraction) -> int:
+    """m such that 3**m * x is an integer; error if no such m exists."""
+    m, rest = _split_threes(x.denominator)
+    if rest != 1:
+        raise DomainError(f"{x} is not a ternary rational")
+    return m
 
 
 def _digits_value(digits: tuple[int, ...], lo: int, hi: int) -> int:
@@ -73,25 +105,25 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
     with the all-2's period.  The period is minimal and the preperiod has
     no removable suffix.
 
-    The long division runs on integers: with x = r/q in lowest terms, the
-    state after each digit is the remainder r in [0, q), and the first
-    repeated remainder closes the period.
+    With x = r/q in lowest terms and q = 3**s * q', 3 not dividing q', the
+    preperiod is the first s digits.  The remainder after them is 3**s times
+    a residue mod q', which each digit triples; tripling permutes the
+    residues, so the remainder's first return closes the period.  A period
+    over ``_PERIOD_CAP`` digits raises ResourceLimitError.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise DomainError(f"{x} outside [0, 1]")
     if x == 1:
         return DigitSeq((), (2,), x)
-    q = x.denominator
-    r = x.numerator
-    digits: list[int] = []
-    seen: dict[int, int] = {}  # remainder r -> index of the digit it yields
-    while r not in seen:
-        seen[r] = len(digits)
-        d, r = divmod(3 * r, q)  # r < q keeps d in {0,1,2}
+    s, _ = _split_threes(x.denominator)
+    start = x.numerator * 3**s % x.denominator  # the remainder after the preperiod
+    digits = []
+    for d, r in islice(_long_division(x.numerator, x.denominator), s + _PERIOD_CAP):
         digits.append(d)
-    start = seen[r]
-    return DigitSeq(tuple(digits[:start]), tuple(digits[start:]), x)
+        if r == start and len(digits) > s:
+            return DigitSeq(tuple(digits[:s]), tuple(digits[s:]), x)
+    raise ResourceLimitError(f"period of {x} exceeds cap of {_PERIOD_CAP} digits")
 
 
 def digit_at(x: DigitSeq, k: int) -> int:
@@ -105,27 +137,12 @@ def digit_at(x: DigitSeq, k: int) -> int:
     return x.period[(k - len(x.preperiod) - 1) % len(x.period)]
 
 
-def _prefix_count(x: DigitSeq, i: int, n: int) -> int:
-    """Number of positions j <= n with digit i, using period cycle counts."""
-    if n <= 0:
-        return 0
-    total = 0
-    npre = len(x.preperiod)
-    head = min(n, npre)
-    total += sum(1 for d in x.preperiod[:head] if d == i)
-    rest = n - npre
-    if rest <= 0 or not x.period:
-        return total
-    length = len(x.period)
-    per_cycle = sum(1 for d in x.period if d == i)
-    cycles, partial = divmod(rest, length)
-    total += cycles * per_cycle
-    total += sum(1 for d in x.period[:partial] if d == i)
-    return total
-
-
 def walk_value(x: DigitSeq, n: int) -> int:
     """W(n) = n - 3 * (number of 1's among the first n digits); W(0) = 0."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return n - 3 * _prefix_count(x, 1, n)
+    cycles, partial = divmod(max(n - len(x.preperiod), 0), len(x.period) or 1)
+    ones = x.preperiod[:n].count(1) + x.period[:partial].count(1)
+    if cycles:  # the whole period is read only when n covers it
+        ones += cycles * x.period.count(1)
+    return n - 3 * ones

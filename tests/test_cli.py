@@ -407,6 +407,7 @@ class TestExperiment:
             ["hata-yamaguti", "--grid", "2", "--seed", "5"],
             ["hata-yamaguti", "--grid", "2", "--trials", "3", "--a", "7"],
             ["--seed", "3", "walk-mc"],  # a flag before the name
+            ["--output=x.json", "walk-mc"],
         ],
         ids=" ".join,
     )
@@ -420,6 +421,29 @@ class TestExperiment:
         assert not target.exists()
         if argv[0] in EXPERIMENT_FLAGS:
             assert "unrecognized arguments: " in out.err
+        else:
+            flag = argv[0].partition("=")[0]
+            assert f"argument {flag}: flags go after the experiment name" in out.err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["walk-mc", "-h"]])
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *argv])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: okamoto-k experiment")
+
+    @pytest.mark.parametrize("grid", [10**6, 10**12])
+    def test_hata_yamaguti_grid_cap(self, capsys, tmp_path, grid):
+        # the grid has grid + 1 points, capped like eval --samples
+        target = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "experiment", "hata-yamaguti", "--grid", str(grid),
+            "--output", str(target),
+        )
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {grid + 1} samples exceed cap of 1000000\n"
+        assert not target.exists()
 
     def test_sigma_fuzz_clean(self, capsys):
         code, out, _ = run(
@@ -519,9 +543,10 @@ class TestOutputHandling:
             (["experiment", "walk-mc", "--samples", "2", "--seed", "-1"], 3),
             (["experiment", "sigma-fuzz", "--trials", "2", "--seed", "-1"], 3),
             (["experiment", "hata-yamaguti", "--grid", "0"], 3),
+            (["classify", "1/1000000007"], 4),
         ],
         ids=["eval", "construct", "classify", "box-dim", "walk-mc", "sigma-fuzz",
-             "hata-yamaguti"],
+             "hata-yamaguti", "classify-period-cap"],
     )
     def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code):
         target = tmp_path / "out.txt"

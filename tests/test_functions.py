@@ -294,6 +294,16 @@ NEAR_TIES = [
 ]
 
 
+# the floats next to each k / 2**12, where lebesgue's branches tie after a few
+# doublings and 2t - 1 lands near 0 and 1
+NEAR_DYADICS = [
+    v
+    for k in range(2**12 + 1)
+    for v in (math.nextafter(k / 2**12, 0), math.nextafter(k / 2**12, 2))
+    if v <= 1
+]
+
+
 def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
@@ -329,8 +339,8 @@ class TestArrayRoutes:
     @pytest.mark.parametrize(
         "xs",
         [sample_grid(n) for n in (2, 3, 1001, 3**7 + 1)]
-        + [np.array(NEAR_TIES), BIT_PATTERNS],
-        ids=["n2", "n3", "n1001", "n2188", "near-ties", "bit-patterns"],
+        + [np.array(NEAR_TIES), np.array(NEAR_DYADICS), BIT_PATTERNS],
+        ids=["n2", "n3", "n1001", "n2188", "near-ties", "near-dyadics", "bit-patterns"],
     )
     @pytest.mark.parametrize("name", sorted(TWINS))
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okamoto_k.errors import DomainError
+from okamoto_k import ternary
+from okamoto_k.errors import DomainError, ResourceLimitError
 from okamoto_k.ternary import (
     DigitSeq,
     digit_at,
@@ -82,6 +83,29 @@ class TestExpandRational:
         if x != 1:
             assert set(seq.period) != {2}
 
+    @pytest.mark.parametrize("s", range(7))
+    @pytest.mark.parametrize("q_rest", [1, 2, 7, 13, 101])
+    def test_preperiod_is_the_power_of_three(self, s, q_rest):
+        # q = 3**s * q' with 3 not dividing q': the preperiod has s digits
+        q = 3**s * q_rest
+        for x in {Fraction(1, q), Fraction(q - 1, q)} - {Fraction(0), Fraction(1)}:
+            assert len(expand_rational(x).preperiod) == s
+            _assert_matches_oracle(x)
+
+    def test_endpoints(self):
+        assert expand_rational(Fraction(0)) == DigitSeq((), (0,), Fraction(0))
+        _assert_matches_oracle(Fraction(0))
+        assert expand_rational(Fraction(1)) == DigitSeq((), (2,), Fraction(1))
+
+    def test_period_over_cap_is_resource_error(self, monkeypatch):
+        # 1/1000000007 has a period of 500000003 digits
+        with pytest.raises(ResourceLimitError):
+            expand_rational(Fraction(1, 1000000007))
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", 500)
+        assert len(expand_rational(Fraction(7, 10**4)).period) == 500
+        with pytest.raises(ResourceLimitError):
+            expand_rational(Fraction(1, 1019))  # period 509
+
     def test_long_period_matches_oracle_in_full(self):
         x = Fraction(7, 10**4)
         assert len(expand_rational(x).period) == 500
@@ -128,6 +152,25 @@ class TestWalkAndWeight:
         assert walk_value(expand_rational(Fraction(0)), 10) == 10
         assert walk_value(expand_rational(Fraction(1, 2)), 4) == -8
         assert walk_value(expand_rational(Fraction(5, 9)), 3) == 0
+
+    @pytest.mark.parametrize(
+        "x,ns",
+        [
+            # preperiod 3 digits, period 5: inside each, at cycle ends, far out
+            (Fraction(1, 297), [1, 2, 3, 4, 6, 8, 13, 14, 1003, 1005]),
+            # no preperiod, period 16
+            (Fraction(5, 17), [1, 9, 16, 17, 32, 160, 165]),
+            # terminating: 2/9 = 0.02000...
+            (Fraction(2, 9), [1, 2, 3, 50]),
+            # period 100002: n = 20 reads no whole cycle, n = 250000 two cycles
+            (Fraction(1, 100003), [20, 100002, 250000]),
+        ],
+    )
+    def test_matches_oracle_walk(self, x, ns):
+        seq = expand_rational(x)
+        digits = naive_ternary_digits(x, max(ns))
+        for n in ns:
+            assert walk_value(seq, n) == n - 3 * digits[:n].count(1), n
 
     def test_walk_starts_at_zero(self):
         assert walk_value(expand_rational(Fraction(1, 2)), 0) == 0
