@@ -7,7 +7,13 @@ Each command returns its whole output as text, and ``main`` writes it in
 one shot after the command has returned, so a failed run writes nothing
 and never leaves a partial file; identical configs (plus seed) give
 byte-identical output.  Exit codes: 0 success, 2 usage, 3 domain error,
-4 resource cap exceeded.
+4 resource cap exceeded; an ``--output`` path that cannot be written is a
+usage error.
+
+Every json document, of every command, is written by ``_json_doc``: the
+layout that ``json.dumps`` gives with an indent of 2, with each list of
+scalars written by one call of the C encoder.  ``eval`` formats its points
+a block at a time in the same layout, after a head from ``_json_doc``.
 """
 
 from __future__ import annotations
@@ -66,14 +72,6 @@ def _resolve_output(path: str | None) -> str | None:
     if outdir and not os.path.isabs(path):
         return os.path.join(outdir, path)
     return path
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _point_blocks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
@@ -149,21 +147,52 @@ def _svg_points(blocks: Blocks, ylo: float, yhi: float) -> str:
     return "\n".join(parts) + "\n"
 
 
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_layout(value, pad: str) -> str:
+    """The text ``json.dumps`` gives value with an indent of 2, nested at ``pad``.
+
+    Dicts, and lists that hold a container, are laid out here an item at a
+    time.  A list of scalars is written by one call of the C encoder, with
+    the newline and indent of each item as its separator; ``json.dumps``
+    with an indent would run the pure-Python encoder on every item.  Each
+    scalar goes through ``json.dumps`` either way, so the bytes are the
+    same.  Dict keys are strings.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(
+            f"{json.dumps(k)}: {_json_layout(v, inner)}" for k, v in value.items()
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            body = json.dumps(value, separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join(_json_layout(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value)
+
+
 def _json_doc(payload: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    """The json document of every command: payload after its schema version."""
+    return _json_layout({"schema_version": SCHEMA_VERSION, **payload}, "") + "\n"
 
 
 def _json_points_doc(payload: dict, blocks: Blocks) -> str:
     """``_json_doc`` of payload plus a last key ``"points": [[x, v], ...]``.
 
-    The text is byte for byte the same.  ``json.dumps`` with an indent runs
-    the pure-Python encoder, which holds a list and about seven string
-    pieces per point until it joins them: for 10^5 points, 0.8 s and some
-    40 MB of fresh memory per call.  The points are finite floats, which
-    that encoder writes as ``float.__repr__``, the ``%r`` of a float; here
-    a block of points is formatted at a time in the same layout.
+    The text is byte for byte the same.  The head, up to the points, is
+    ``_json_doc``'s.  The points are finite floats, which ``json.dumps``
+    writes as ``float.__repr__``, the ``%r`` of a float; here a block of
+    points is formatted at a time, in ``_json_layout``'s layout, without
+    building a list of 10^5 two-item lists for the writer.
     """
     head = _json_doc({**payload, "points": []}).removesuffix("[]\n}\n")
     body = ",\n".join(
@@ -181,6 +210,13 @@ def _k_route(terms: int | None):
     return lambda xb: k_series_phi_array(xb, trunc)
 
 
+def _kn_route(level: int):
+    """Kn's array route: the partial sum through level n has n + 1 terms."""
+    if level >= _TERMS_CAP:
+        raise ResourceLimitError(f"level {level} exceeds cap of {_TERMS_CAP - 1}")
+    return _k_route(level + 1)
+
+
 # --fn -> (the one option among --a, --terms, --level that it reads, or None;
 # that option's value when not given; a function from the value to the array
 # route on a block of points; the value range of the svg plot).  The routes
@@ -193,8 +229,7 @@ _EVAL_FNS = {
         "a", _DEFAULT_A, lambda a: partial(okamoto_series_array, a), (0.0, 1.0)
     ),
     "K": ("terms", None, _k_route, (-1.5, 1.5)),
-    # the partial sum through level n has n + 1 terms
-    "Kn": ("level", 10, lambda level: _k_route(level + 1), (-1.5, 1.5)),
+    "Kn": ("level", 10, _kn_route, (-1.5, 1.5)),
 }
 
 
@@ -380,7 +415,16 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    _emit(text, _resolve_output(args.output))
+    path = _resolve_output(args.output)
+    if path is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -21,6 +21,7 @@ from itertools import islice
 from .errors import DomainError, ResourceLimitError
 
 _PERIOD_CAP = 10**6  # digits of a period that expand_rational computes
+_DIGITS = frozenset((0, 1, 2))
 
 
 def _long_division(r: int, q: int) -> Iterator[tuple[int, int]]:
@@ -86,9 +87,14 @@ class DigitSeq:
     value: Fraction
 
     def __post_init__(self):
-        for d in self.preperiod + self.period:
-            if d not in (0, 1, 2):
-                raise DomainError(f"digit {d} outside {{0,1,2}}")
+        digits = self.preperiod + self.period
+        try:  # one set test in C; the digit is looked up only on failure
+            valid = _DIGITS.issuperset(digits)
+        except TypeError:  # an unhashable digit
+            valid = False
+        if not valid:
+            bad = next(d for d in digits if d not in (0, 1, 2))
+            raise DomainError(f"digit {bad} outside {{0,1,2}}")
         if not self.period and self.value != 0:
             raise DomainError("empty period is only allowed for x = 0")
         if _reconstruct(self.preperiod, self.period) != self.value:

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own code paths: digits
 come from plain long division, crossing probabilities from exhaustive
 enumeration, entropy values from mpmath high-precision arithmetic, the
-subdivision graph from Fraction arithmetic, walks from numpy doubles, and
-csv/svg text from one f-string per point.
+subdivision graph from Fraction arithmetic, walks from numpy doubles,
+csv/svg text from one f-string per point, and json text from the standard
+library's indent encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections.abc import Iterable
 from fractions import Fraction
@@ -230,3 +232,8 @@ def svg_per_point(points: Iterable[tuple[float, float]], ylo: float, yhi: float)
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def json_doc(payload: dict) -> str:
+    """A command's json document as ``json.dumps`` lays it out with an indent."""
+    return json.dumps({"schema_version": 1, **payload}, indent=2) + "\n"

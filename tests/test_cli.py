@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ from okamoto_k.cli import (
 )
 from okamoto_k.functions import k_series_phi, okamoto_series
 
-from oracles import csv_per_point, subdivision_fractions, svg_per_point
+from oracles import csv_per_point, json_doc, subdivision_fractions, svg_per_point
 
 
 def run(capsys, *argv):
@@ -92,14 +94,19 @@ class TestEval:
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--fn", "K", "--terms", "1001"], ["--fn", "Kn", "--level", "1000"]],
+        "argv,message",
+        [
+            (["--fn", "K", "--terms", "1001"], "1001 series terms exceed cap of 1000"),
+            # Kn's message names the option it was given
+            (["--fn", "Kn", "--level", "1000"], "level 1000 exceeds cap of 999"),
+        ],
+        ids=["K", "Kn"],
     )
-    def test_term_cap(self, capsys, argv):
+    def test_term_cap(self, capsys, argv, message):
         code, out, err = run(capsys, "eval", *argv, "--samples", "3")
         assert code == 4
         assert out == ""
-        assert err == "error: 1001 series terms exceed cap of 1000\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -185,7 +192,7 @@ class TestEval:
         if fmt == "csv":
             want = csv_per_point(points)
         elif fmt == "json":
-            want = _json_doc(
+            want = json_doc(
                 {
                     "command": "eval",
                     "fn": fn,
@@ -238,11 +245,59 @@ def test_json_points_doc_matches_json_dumps(monkeypatch):
     values = np.tile(finite, len(finite))
     points = list(zip(xs.tolist(), values.tolist()))
     payload = {"command": "eval", "fn": "K", "a": 0.1, "samples": len(points)}
-    want = _json_doc({**payload, "points": [[x, v] for x, v in points]})
+    want = json_doc({**payload, "points": [[x, v] for x, v in points]})
     assert _json_points_doc(payload, _point_blocks(xs, values)) == want
     # in blocks of 7, the last one ragged
     monkeypatch.setattr(cli, "_POINT_BLOCK", 7)
     assert _json_points_doc(payload, _point_blocks(xs, values)) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "0"],
+        ["classify", "1"],
+        ["classify", "1/4"],
+        ["classify", "2/729"],
+        ["classify", "1/26"],
+        ["classify", "5/100003"],
+        ["classify", "1/100003"],
+        ["construct", "--a", "2/5", "--level", "6"],
+        ["experiment", "box-dim", "--levels", "4"],
+        ["experiment", "walk-mc", "--samples", "2", "--horizon", "10"],
+        ["experiment", "sigma-fuzz", "--trials", "2"],  # a nested "cases" dict
+        ["experiment", "hata-yamaguti", "--grid", "2"],
+    ],
+    ids=" ".join,
+)
+def test_json_doc_matches_indent_encoder_on_commands(monkeypatch, capsys, argv):
+    payloads = []
+    monkeypatch.setattr(cli, "_json_doc", lambda p: payloads.append(p) or _json_doc(p))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(payloads) == 1
+    assert out == json_doc(payloads[0])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"list": [], "dict": {}, "nested": {"list": [], "dict": {"x": {}}}},
+        {"lists": [[1, 2], [], [[3], [[]]], [{}], [{"k": [4]}]]},
+        {"mixed": [1, "a", [2.5], {"k": None}, None, [], {}], "scalar_then": [0, [0]]},
+        {"tuple": (1, 2), "tuples": ((1, (2, 3)), ()), "in_list": [(0,), ("a",)]},
+        {"true": True, "false": False, "none": None, "big": 3**200},
+        {"scalars": [True, False, None, 3**200, -(3**200), 0, -1]},
+        {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "nzero": -0.0},
+        {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e22]},
+        {"numpy": [np.float64(0.1), np.float64(-0.0)], "np": np.float64(math.nan)},
+        {"strings": ['say "hi"', "back\\slash", "bell\x07tab\t", "é ü 漢 😀", ""]},
+        {'key "q" \\ \x01 é': 'value "q" \\ \x1f 漢', "": ""},
+    ],
+)
+def test_json_doc_matches_indent_encoder_on_edges(payload):
+    assert _json_doc(payload) == json_doc(payload)
 
 
 def test_make_figures_script(tmp_path, capsys):
@@ -273,6 +328,27 @@ def test_run_experiments_script_parses(tmp_path, capsys):
     assert len(calls) == 4
     for argv in calls:
         cli._build_parser().parse_args(argv)
+
+
+def test_output_digests_script_parses(capsys):
+    # every call the script lists parses, and the usage errors exit 2;
+    # nothing else is run
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert len(set(script.CALLS)) == len(script.CALLS)
+    for call in script.CALLS:
+        argv = shlex.split(call)
+        if call in script.USAGE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2, call
+        else:
+            cli._build_parser().parse_args(argv)
+    capsys.readouterr()
 
 
 class TestConstruct:
@@ -326,7 +402,7 @@ class TestConstruct:
         if fmt == "csv":
             want = csv_per_point(points)
         elif fmt == "json":
-            want = _json_doc(
+            want = json_doc(
                 {
                     "command": "construct",
                     "a": a,
@@ -544,14 +620,18 @@ class TestOutputHandling:
             (["experiment", "sigma-fuzz", "--trials", "2", "--seed", "-1"], 3),
             (["experiment", "hata-yamaguti", "--grid", "0"], 3),
             (["classify", "1/1000000007"], 4),
+            # a run that succeeds, with --output in a directory that does not exist
+            (["classify", "1/4"], 2),
         ],
         ids=["eval", "construct", "classify", "box-dim", "walk-mc", "sigma-fuzz",
-             "hata-yamaguti", "classify-period-cap"],
+             "hata-yamaguti", "classify-period-cap", "unwritable-output"],
     )
     def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code):
-        target = tmp_path / "out.txt"
+        target = tmp_path / ("missing/out.txt" if exit_code == 2 else "out.txt")
         code, out, err = run(capsys, *argv, "--output", str(target))
         assert code == exit_code
         assert out == ""
         assert err.startswith("error: ")
         assert not target.exists()
+        if exit_code == 2:
+            assert err == f"error: cannot write {target}: No such file or directory\n"
