@@ -31,6 +31,7 @@ EXPERIMENTS = [
     "experiment hata-yamaguti --grid 100",
     "experiment walk-mc --samples 10000 --horizon 10000 --seed 1",
     "experiment sigma-fuzz --trials 10000 --seed 1",
+    "experiment sigma-fuzz --trials 10000 --seed 2",
     "experiment box-dim --levels 4",
     "experiment walk-mc --samples 2 --horizon 10",
     "experiment sigma-fuzz --trials 2",
@@ -78,6 +79,8 @@ DOMAIN = [
     "experiment box-dim --a 3/2 --levels 4",
     "experiment walk-mc --seed -1 --samples 2",
     "experiment sigma-fuzz --seed -1 --trials 2",
+    "experiment sigma-fuzz --trials 0",
+    "experiment sigma-fuzz --trials -5",
     "experiment hata-yamaguti --grid 0",
 ]
 CAP = [
@@ -87,6 +90,8 @@ CAP = [
     "eval --fn K --terms 1001",
     "eval --fn Kn --level 1000",
     "experiment walk-mc --horizon 10000001 --samples 1",
+    "experiment walk-mc --samples 1000001 --horizon 1",
+    "experiment sigma-fuzz --trials 1000001",
     "experiment hata-yamaguti --grid 1000000",
     "classify 1/1000000007",
 ]

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import DomainError, ProofCheckError
+from .errors import DomainError, ProofCheckError, ResourceLimitError
 from .functions import _k_terms, k_exact
 from .ternary import DigitSeq, _long_division, _ternary_order
 from .ternary import expand_rational, walk_value
 
 _FUZZ_ORDER = 10  # sigma_fuzz draws pairs k / 3**m with m up to this order
+_FUZZ_TRIALS_CAP = 10**6  # pairs per sigma_fuzz run
 _WALK_PREFIX = 20  # steps of W that classification_report lists
 
 
@@ -123,6 +124,77 @@ class SigmaDecomposition:
     sandwich_high: Fraction
 
 
+def _scaled(value: Fraction, scale: int) -> int | None:
+    """scale * value when that is an integer, else None (never floored)."""
+    whole, rest = divmod(value.numerator * scale, value.denominator)
+    return None if rest else whole
+
+
+def _sigma_parts(
+    i: int, j: int, order: int
+) -> tuple[int, int, str, int, int, int, int, int, int]:
+    """The split of K's difference quotient at x = i / 3**order, h = j / 3**order.
+
+    Returns (p, k0, case_tag, s1, s2, s3, s4, sandwich_low, sandwich_high),
+    where sigma_k = s_k / j and the quotient is (s1 + s2 + s3 + s4) / j.
+    Needs 0 <= i < i + j < 3**order.  Every check of ``sigma_decompose`` is
+    decided on integers, its bounds multiplied through by j.  For the sum,
+    3**order * ``k_exact`` at each end must be an integer (a value off that
+    grid fails, it is not floored) and their difference must equal the sum
+    of the parts.  A failed check raises ProofCheckError, also under
+    ``python -O``; the sigmas and the quotient become Fractions only in its
+    message.
+    """
+    scale = 3**order
+    p, width = 1, scale // 3  # smallest p with 3**-p <= h; width = 3**(order - p)
+    while width > j:
+        p, width = p + 1, width // 3
+
+    # the first k digits of i / 3**order are i // 3**(order - k)
+    k0, width = 0, scale // 3
+    while k0 < p and i // width == (i + j) // width:
+        k0, width = k0 + 1, width // 3
+    if k0 > p - 1:
+        raise DomainError("shared prefix exceeds p - 1; inconsistent inputs")
+
+    diffs = [b - a for a, b in zip(_k_terms(i, order), _k_terms(i + j, order))]
+    tail_start = max(p - 1, k0 + 1)
+    s1, s2, s3, s4 = (
+        sum(diffs[:k0]),
+        diffs[k0],
+        sum(diffs[k0 + 1 : p - 1]),
+        sum(diffs[tail_start:]),
+    )
+    total = s1 + s2 + s3 + s4
+
+    x = Fraction(i, scale)
+    kx, ky = k_exact(x), k_exact(Fraction(i + j, scale))
+    ix, iy = _scaled(kx, scale), _scaled(ky, scale)
+    if ix is None or iy is None or iy - ix != total:
+        quotient = (ky - kx) / Fraction(j, scale)
+        raise ProofCheckError(f"sigma sum differs from the quotient {quotient}")
+
+    if k0 <= p - 3:
+        case_tag, n, below, above = "k0<=p-3", p - 1, 27, 18
+    elif k0 == p - 2:
+        case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
+    else:
+        case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
+    dx = tuple(d for d, _ in islice(_long_division(i, scale), order))
+    ref = 3 * walk_value(DigitSeq(dx, (0,), x), n)  # digit weight f(1, n)
+    low, high = ref - below, ref + above
+
+    if not -6 * j <= s2 <= 3 * j:
+        raise ProofCheckError(f"sigma2 = {Fraction(s2, j)} outside [-6, 3]")
+    if abs(s4) > 9 * j:
+        raise ProofCheckError(f"|sigma4| = {Fraction(abs(s4), j)} exceeds 9")
+    if not low * j <= total <= high * j:
+        raise ProofCheckError(
+            f"quotient {Fraction(total, j)} outside [{low}, {high}] in case {case_tag}"
+        )
+    return p, k0, case_tag, s1, s2, s3, s4, low, high
+
+
 def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     """Decompose the difference quotient of K at exact ternary rationals.
 
@@ -130,10 +202,13 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     all sums are finite and exact.  With order m, x = i / 3**m and
     h = j / 3**m, level n contributes (T_n(i + j) - T_n(i)) / j, where
     T_n(k) = 3**m * 3**-n * Phi(3**n * k / 3**m) is an integer; each sigma
-    is an integer sum over j.  Checks the exact sum against ``k_exact`` and
-    the proof's bounds: sigma2 in [-6, 3], |sigma4| <= 9, and the
-    case-appropriate sandwich around the digit weight f(1, n) = 3 W(n) of
-    x; raises ProofCheckError if one fails, also under ``python -O``.
+    is an integer sum over j.  ``_sigma_parts`` checks the proof on those
+    integers, multiplied through by j: the sum of the four parts equals
+    3**m * (``k_exact(x + h)`` - ``k_exact(x)``), sigma2 in [-6, 3],
+    |sigma4| <= 9, and the quotient lies in the case-appropriate sandwich
+    around the digit weight f(1, n) = 3 W(n) of x.  A failed check raises
+    ProofCheckError, also under ``python -O``; the Fraction fields are
+    built from the integers only after every check has passed.
     """
     x = Fraction(x)
     h = Fraction(h)
@@ -145,52 +220,8 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     scale = 3**order
     i = x.numerator * (scale // x.denominator)
     j = h.numerator * (scale // h.denominator)
-
-    p = 1  # smallest p with 3**-p <= h
-    while 3 ** (order - p) > j:
-        p += 1
-
-    dx, dy = (
-        [d for d, _ in islice(_long_division(k, scale), order)] for k in (i, i + j)
-    )
-    k0 = 0
-    while k0 < p and dx[k0] == dy[k0]:
-        k0 += 1
-    if k0 > p - 1:
-        raise DomainError("shared prefix exceeds p - 1; inconsistent inputs")
-
-    diffs = [b - a for a, b in zip(_k_terms(i, order), _k_terms(i + j, order))]
-    tail_start = max(p - 1, k0 + 1)
-    parts = (
-        sum(diffs[:k0]),
-        diffs[k0],
-        sum(diffs[k0 + 1 : p - 1]),
-        sum(diffs[tail_start:]),
-    )
+    p, k0, case_tag, *parts, low, high = _sigma_parts(i, j, order)
     sigma1, sigma2, sigma3, sigma4 = (Fraction(s, j) for s in parts)
-
-    quotient = (k_exact(x + h) - k_exact(x)) / h
-    if Fraction(sum(parts), j) != quotient:
-        raise ProofCheckError(f"sigma sum differs from the quotient {quotient}")
-
-    if k0 <= p - 3:
-        case_tag, n, below, above = "k0<=p-3", p - 1, 27, 18
-    elif k0 == p - 2:
-        case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
-    else:
-        case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
-    ref = 3 * walk_value(DigitSeq(tuple(dx), (0,), x), n)  # digit weight f(1, n)
-    low, high = ref - below, ref + above
-
-    if not -6 <= sigma2 <= 3:
-        raise ProofCheckError(f"sigma2 = {sigma2} outside [-6, 3]")
-    if abs(sigma4) > 9:
-        raise ProofCheckError(f"|sigma4| = {abs(sigma4)} exceeds 9")
-    if not low <= quotient <= high:
-        raise ProofCheckError(
-            f"quotient {quotient} outside [{low}, {high}] in case {case_tag}"
-        )
-
     return SigmaDecomposition(
         x=x,
         h=h,
@@ -201,42 +232,58 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
         sigma2=sigma2,
         sigma3=sigma3,
         sigma4=sigma4,
-        quotient=quotient,
+        quotient=Fraction(sum(parts), j),
         sandwich_low=Fraction(low),
         sandwich_high=Fraction(high),
     )
 
 
-def random_ternary_pair(rng, max_order: int) -> tuple[Fraction, Fraction]:
-    """Random exact (x, h) with 0 <= x < x + h < 1, both ternary rationals."""
+def _draw_ternary_pair(rng, max_order: int) -> tuple[int, int, int]:
+    """(i, j, m) with 0 <= i < i + j < 3**m, from three draws of rng."""
     m = int(rng.integers(2, max_order + 1))
     denom = 3**m
     i = int(rng.integers(0, denom - 1))
     j = int(rng.integers(1, denom - i))
-    return Fraction(i, denom), Fraction(j, denom)
+    return i, j, m
+
+
+def random_ternary_pair(rng, max_order: int) -> tuple[Fraction, Fraction]:
+    """Random exact (x, h) with 0 <= x < x + h < 1, both ternary rationals."""
+    i, j, m = _draw_ternary_pair(rng, max_order)
+    return Fraction(i, 3**m), Fraction(j, 3**m)
 
 
 def sigma_fuzz(trials: int, seed: int) -> dict:
     """Run the decomposition on random exact pairs; report bound violations.
 
-    The pairs, of order up to ``_FUZZ_ORDER``, come from ``Philox(key=seed)``;
-    raises DomainError unless 0 <= seed < 2**128, the range of a Philox key.
+    The pairs, of order up to ``_FUZZ_ORDER``, come from ``Philox(key=seed)``
+    with the draws of ``random_ternary_pair``.  Each pair (i, j, m) goes
+    straight to ``_sigma_parts``, which decides every bound of
+    ``sigma_decompose`` on integers and raises ProofCheckError, also under
+    ``python -O``; only the case tags and the violations are counted, so no
+    Fraction field is built.  Raises DomainError unless 0 <= seed < 2**128,
+    the range of a Philox key, and unless trials >= 1, and
+    ResourceLimitError for trials above ``_FUZZ_TRIALS_CAP``, before
+    anything is drawn.
     """
     import numpy as np
 
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed {seed} outside [0, 2**128)")
+    if trials < 1:
+        raise DomainError("need trials >= 1")
+    if trials > _FUZZ_TRIALS_CAP:
+        raise ResourceLimitError(f"trials {trials} exceeds cap of {_FUZZ_TRIALS_CAP}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     violations = 0
     cases = {"k0<=p-3": 0, "k0==p-2": 0, "k0==p-1": 0}
     for _ in range(trials):
-        xv, hv = random_ternary_pair(rng, _FUZZ_ORDER)
         try:
-            dec = sigma_decompose(xv, hv)
+            case_tag = _sigma_parts(*_draw_ternary_pair(rng, _FUZZ_ORDER))[2]
         except ProofCheckError:
             violations += 1
             continue
-        cases[dec.case_tag] += 1
+        cases[case_tag] += 1
     return {
         "trials": trials,
         "seed": seed,

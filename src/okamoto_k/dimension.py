@@ -138,6 +138,7 @@ class WalkExperiment:
 _DOWN_RAW = np.uint64(math.ceil((1.0 / 3.0) * 2.0**53) << 11)
 _WALK_PREFIX = 256  # steps checked for a crossing before the whole path
 _WALK_HORIZON_CAP = 10**7  # steps per path: about 80 MB of draws
+_WALK_SAMPLES_CAP = 10**6  # paths per run
 
 
 def _check_seed(seed: int) -> None:
@@ -167,8 +168,8 @@ def walk_monte_carlo(samples: int, horizon: int, seed: int) -> WalkExperiment:
     summed only when they do not cross (about 5% of paths at the default
     horizon), which gives the same verdict since a prefix that crosses
     means the path crosses.  Raises DomainError unless 0 <= seed < 2**64,
-    and ResourceLimitError for a horizon above ``_WALK_HORIZON_CAP``,
-    before anything is drawn.
+    and ResourceLimitError for a horizon above ``_WALK_HORIZON_CAP`` or
+    more samples than ``_WALK_SAMPLES_CAP``, before anything is drawn.
     """
     if samples < 1 or horizon < 1:
         raise DomainError("need samples >= 1 and horizon >= 1")
@@ -176,6 +177,10 @@ def walk_monte_carlo(samples: int, horizon: int, seed: int) -> WalkExperiment:
     if horizon > _WALK_HORIZON_CAP:
         raise ResourceLimitError(
             f"horizon {horizon} exceeds cap of {_WALK_HORIZON_CAP} steps"
+        )
+    if samples > _WALK_SAMPLES_CAP:
+        raise ResourceLimitError(
+            f"samples {samples} exceeds cap of {_WALK_SAMPLES_CAP} paths"
         )
     # one bit generator, reset per path to the state of a fresh
     # Philox(key=(seed << 64) + i): zero counter, empty buffer, key words

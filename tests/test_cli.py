@@ -610,28 +610,40 @@ class TestOutputHandling:
         assert (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize(
-        "argv,exit_code",
+        "argv,exit_code,message",
         [
-            (["eval", "--fn", "lebesgue", "--a", "7", "--samples", "9"], 3),
-            (["construct", "--a", "2/5", "--level", "13"], 4),
-            (["classify", "3/2"], 3),
-            (["experiment", "box-dim", "--levels", "11"], 4),
-            (["experiment", "walk-mc", "--samples", "2", "--seed", "-1"], 3),
-            (["experiment", "sigma-fuzz", "--trials", "2", "--seed", "-1"], 3),
-            (["experiment", "hata-yamaguti", "--grid", "0"], 3),
-            (["classify", "1/1000000007"], 4),
+            (["eval", "--fn", "lebesgue", "--a", "7", "--samples", "9"], 3,
+             "parameter a=7.0 outside (0, 1)"),
+            (["construct", "--a", "2/5", "--level", "13"], 4,
+             "level 13 exceeds cap of 531442 breakpoints"),
+            (["classify", "3/2"], 3, "3/2 outside [0, 1]"),
+            (["experiment", "box-dim", "--levels", "11"], 4, "max_level 11 exceeds cap 10"),
+            (["experiment", "walk-mc", "--samples", "2", "--seed", "-1"], 3,
+             "seed -1 outside [0, 2**64)"),
+            (["experiment", "walk-mc", "--samples", "1000001", "--horizon", "1"], 4,
+             "samples 1000001 exceeds cap of 1000000 paths"),
+            (["experiment", "sigma-fuzz", "--trials", "2", "--seed", "-1"], 3,
+             "seed -1 outside [0, 2**128)"),
+            (["experiment", "sigma-fuzz", "--trials", "0"], 3, "need trials >= 1"),
+            (["experiment", "sigma-fuzz", "--trials", "-5"], 3, "need trials >= 1"),
+            (["experiment", "sigma-fuzz", "--trials", "1000001"], 4,
+             "trials 1000001 exceeds cap of 1000000"),
+            (["experiment", "hata-yamaguti", "--grid", "0"], 3,
+             "need at least 2 grid points"),
+            (["classify", "1/1000000007"], 4,
+             "period of 1/1000000007 exceeds cap of 1000000 digits"),
             # a run that succeeds, with --output in a directory that does not exist
-            (["classify", "1/4"], 2),
+            (["classify", "1/4"], 2, "cannot write {target}: No such file or directory"),
         ],
-        ids=["eval", "construct", "classify", "box-dim", "walk-mc", "sigma-fuzz",
-             "hata-yamaguti", "classify-period-cap", "unwritable-output"],
+        ids=["eval", "construct", "classify", "box-dim", "walk-mc", "walk-mc-samples-cap",
+             "sigma-fuzz", "sigma-fuzz-no-trials", "sigma-fuzz-negative-trials",
+             "sigma-fuzz-trials-cap", "hata-yamaguti", "classify-period-cap",
+             "unwritable-output"],
     )
-    def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code):
+    def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code, message):
         target = tmp_path / ("missing/out.txt" if exit_code == 2 else "out.txt")
         code, out, err = run(capsys, *argv, "--output", str(target))
         assert code == exit_code
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == f"error: {message.format(target=target)}\n"
         assert not target.exists()
-        if exit_code == 2:
-            assert err == f"error: cannot write {target}: No such file or directory\n"

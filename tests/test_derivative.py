@@ -16,6 +16,7 @@ import okamoto_k
 from okamoto_k import derivative
 from okamoto_k.derivative import (
     DerivativeClass,
+    _sigma_parts,
     billingsley_divergence_witness,
     classification_report,
     classify_point,
@@ -25,7 +26,8 @@ from okamoto_k.derivative import (
     sigma_decompose,
     sigma_fuzz,
 )
-from okamoto_k.errors import DomainError, ProofCheckError
+from okamoto_k.errors import DomainError, ProofCheckError, ResourceLimitError
+from okamoto_k.functions import k_exact
 from okamoto_k.ternary import (
     DigitSeq,
     expand_rational,
@@ -143,21 +145,74 @@ class TestSigmaDecomposition:
         assert report["violations"] == 0
         assert sum(report["cases"].values()) == 500
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_fuzz_needs_a_trial(self, trials):
+        with pytest.raises(DomainError, match="need trials >= 1"):
+            sigma_fuzz(trials, seed=0)
+
+    def test_fuzz_trials_cap(self):
+        cap = derivative._FUZZ_TRIALS_CAP
+        with pytest.raises(ResourceLimitError, match=f"trials {cap + 1} exceeds"):
+            sigma_fuzz(cap + 1, seed=0)
+
     def test_sandwich_violation_raises(self, monkeypatch):
         monkeypatch.setattr(derivative, "walk_value", lambda x, n: 10**6)
         with pytest.raises(ProofCheckError, match="outside"):
             sigma_decompose(Fraction(0), Fraction(1, 27))
+
+    @pytest.mark.parametrize(
+        "order,j,moved,message",
+        [
+            # x = 0, h = 1/27: x + h has terms [3, 3, 3], moved into sigma2
+            (3, 1, [-1, 3, 7], r"sigma2 = 7 outside \[-6, 3\]"),
+            # the same pair at order 5: [27, 27, 27, 0, 0], moved into sigma4
+            (5, 9, [127, 27, 27, 0, -100], r"\|sigma4\| = 100/9 exceeds 9"),
+        ],
+        ids=["sigma2", "sigma4"],
+    )
+    def test_part_bound_violation_raises(self, monkeypatch, order, j, moved, message):
+        # the terms of x + h keep their sum, so only the part bound can fail
+        k_terms = derivative._k_terms
+        monkeypatch.setattr(
+            derivative, "_k_terms", lambda k, m: moved if k == j else k_terms(k, m)
+        )
+        with pytest.raises(ProofCheckError, match=message):
+            _sigma_parts(0, j, order)
+
+    @pytest.mark.parametrize(
+        "k_wrong",
+        [
+            # cancels in K(x + h) - K(x), but 3**m * K(x) is no longer an integer
+            lambda z: k_exact(z) + Fraction(1, 3**12),
+            # 3**m * K(x) stays an integer, and the difference is off by h
+            lambda z: k_exact(z) + z,
+        ],
+        ids=["off-by-3^-12", "off-by-x"],
+    )
+    def test_sum_violation_raises(self, monkeypatch, k_wrong):
+        monkeypatch.setattr(derivative, "k_exact", k_wrong)
+        with pytest.raises(ProofCheckError, match="sigma sum differs"):
+            sigma_decompose(Fraction(0), Fraction(1, 27))
+        report = sigma_fuzz(40, seed=3)
+        assert report["violations"] == report["trials"] == 40
 
     def test_fuzz_counts_violations_under_optimize(self):
         # python -O strips assert statements; the bound checks must survive
         script = textwrap.dedent(
             """
             import json, sys
+            from fractions import Fraction
             from okamoto_k import derivative
 
+            walk_value, k_exact = derivative.walk_value, derivative.k_exact
             derivative.walk_value = lambda x, n: 10**6  # sandwich far off
-            report = derivative.sigma_fuzz(40, seed=3)
-            print(json.dumps({"optimize": sys.flags.optimize, **report}))
+            sandwich = derivative.sigma_fuzz(40, seed=3)
+            derivative.walk_value = walk_value
+            derivative.k_exact = lambda z: k_exact(z) + Fraction(1, 3**12)
+            total = derivative.sigma_fuzz(40, seed=3)
+            print(json.dumps(
+                {"optimize": sys.flags.optimize, "reports": [sandwich, total]}
+            ))
             """
         )
         src = str(Path(okamoto_k.__file__).resolve().parents[1])
@@ -172,7 +227,8 @@ class TestSigmaDecomposition:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["optimize"] == 1
-        assert doc["violations"] == doc["trials"] == 40
+        for report in doc["reports"]:
+            assert report["violations"] == report["trials"] == 40
 
     def test_matches_fraction_oracle_on_all_order_4_pairs(self):
         for i in range(81):
@@ -180,6 +236,36 @@ class TestSigmaDecomposition:
                 x, h = Fraction(i, 81), Fraction(j, 81)
                 dec = dataclasses.asdict(sigma_decompose(x, h))
                 assert dec == sigma_split_fractions(x, h), (x, h)
+
+    def test_parts_do_not_depend_on_the_order(self):
+        # two more trailing zero digits add two zero terms and scale i, j by 9
+        for i in range(81):
+            for j in range(1, 81 - i):
+                p, k0, tag, *parts, low, high = _sigma_parts(i, j, 4)
+                p6, k06, tag6, *parts6, low6, high6 = _sigma_parts(9 * i, 9 * j, 6)
+                assert (p6, k06, tag6, low6, high6) == (p, k0, tag, low, high)
+                assert parts6 == [9 * s for s in parts], (i, j)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_fuzz_matches_fraction_oracle(self, seed):
+        # the same Philox draws, replayed through the Fraction oracle
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        cases = {"k0<=p-3": 0, "k0==p-2": 0, "k0==p-1": 0}
+        violations = 0
+        for _ in range(300):
+            dec = sigma_split_fractions(*random_ternary_pair(rng, derivative._FUZZ_ORDER))
+            parts = [dec[f"sigma{k}"] for k in range(1, 5)]
+            if (
+                sum(parts) != dec["quotient"]
+                or not -6 <= dec["sigma2"] <= 3
+                or abs(dec["sigma4"]) > 9
+                or not dec["sandwich_low"] <= dec["quotient"] <= dec["sandwich_high"]
+            ):
+                violations += 1
+            else:
+                cases[dec["case_tag"]] += 1
+        report = sigma_fuzz(300, seed)
+        assert (report["cases"], report["violations"]) == (cases, violations)
 
     def test_matches_fraction_oracle_on_random_pairs(self):
         rng = np.random.Generator(np.random.Philox(key=23))

@@ -178,6 +178,11 @@ class TestWalkMonteCarlo:
         with pytest.raises(ResourceLimitError):
             walk_monte_carlo(1, cap + 1, seed=0)
 
+    def test_samples_cap(self):
+        cap = dimension._WALK_SAMPLES_CAP
+        with pytest.raises(ResourceLimitError, match="samples"):
+            walk_monte_carlo(cap + 1, 1, seed=0)
+
     def test_matches_dp_probability(self):
         horizon = 100
         p = crossing_probability_dp(horizon)
