@@ -45,6 +45,8 @@ CLASSIFY = [
     for x in (
         "0", "1", "1/2", "1/3", "1/4", "5/9", "1/26", "2/729", "7/10000",
         "1/30011", "5/100003", "1/100003", "1/999983",
+        # periods of 7, 8, 9, 16, 17 and 25 digits, and a preperiod of 8
+        "1/1093", "1/41", "1/757", "1/17", "1/1871", "1/8951", "1/6561",
     )
 ]
 CONSTRUCT = [

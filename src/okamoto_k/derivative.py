@@ -13,11 +13,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import DomainError, ProofCheckError, ResourceLimitError
-from .functions import _k_terms, k_exact
-from .ternary import DigitSeq, _long_division, _ternary_order
+from .functions import _S, _k_terms, k_exact
+from .ternary import DigitSeq, _digits, _ternary_order
 from .ternary import expand_rational, walk_value
 
 _FUZZ_ORDER = 10  # sigma_fuzz draws pairs k / 3**m with m up to this order
@@ -124,10 +123,18 @@ class SigmaDecomposition:
     sandwich_high: Fraction
 
 
-def _scaled(value: Fraction, scale: int) -> int | None:
-    """scale * value when that is an integer, else None (never floored)."""
-    whole, rest = divmod(value.numerator * scale, value.denominator)
-    return None if rest else whole
+def _k_scaled(digits: list[int]) -> int:
+    """3**m * K(x) for the x in [0, 1) whose base-3 digits are ``digits``.
+
+    By the digit series, 3**m * K(x) is the sum over n < m of
+    3**(m - n) * (s(d) + W(n) * d), with d = d_{n+1} and s = (0, 1, -1).
+    It shares no code with ``_k_terms``, so each checks the other.
+    """
+    total = walk = 0
+    for d in digits:
+        total = 3 * total + _S[d] + walk * d
+        walk += -2 if d == 1 else 1
+    return 3 * total
 
 
 def _sigma_parts(
@@ -139,11 +146,11 @@ def _sigma_parts(
     where sigma_k = s_k / j and the quotient is (s1 + s2 + s3 + s4) / j.
     Needs 0 <= i < i + j < 3**order.  Every check of ``sigma_decompose`` is
     decided on integers, its bounds multiplied through by j.  For the sum,
-    3**order * ``k_exact`` at each end must be an integer (a value off that
-    grid fails, it is not floored) and their difference must equal the sum
-    of the parts.  A failed check raises ProofCheckError, also under
-    ``python -O``; the sigmas and the quotient become Fractions only in its
-    message.
+    ``_k_scaled`` at each end must equal the sum of that end's
+    ``_k_terms``, and the difference of the two ends must equal the sum of
+    the parts, so an offset common to both ends is caught too.  A failed
+    check raises ProofCheckError, also under ``python -O``; the sigmas and
+    the quotient become Fractions only in its message.
     """
     scale = 3**order
     p, width = 1, scale // 3  # smallest p with 3**-p <= h; width = 3**(order - p)
@@ -157,7 +164,8 @@ def _sigma_parts(
     if k0 > p - 1:
         raise DomainError("shared prefix exceeds p - 1; inconsistent inputs")
 
-    diffs = [b - a for a, b in zip(_k_terms(i, order), _k_terms(i + j, order))]
+    terms_x, terms_y = _k_terms(i, order), _k_terms(i + j, order)
+    diffs = [b - a for a, b in zip(terms_x, terms_y)]
     tail_start = max(p - 1, k0 + 1)
     s1, s2, s3, s4 = (
         sum(diffs[:k0]),
@@ -167,11 +175,10 @@ def _sigma_parts(
     )
     total = s1 + s2 + s3 + s4
 
-    x = Fraction(i, scale)
-    kx, ky = k_exact(x), k_exact(Fraction(i + j, scale))
-    ix, iy = _scaled(kx, scale), _scaled(ky, scale)
-    if ix is None or iy is None or iy - ix != total:
-        quotient = (ky - kx) / Fraction(j, scale)
+    dx = _digits(i, scale, order)
+    kx, ky = _k_scaled(dx), _k_scaled(_digits(i + j, scale, order))
+    if kx != sum(terms_x) or ky != sum(terms_y) or ky - kx != total:
+        quotient = Fraction(ky - kx, j)
         raise ProofCheckError(f"sigma sum differs from the quotient {quotient}")
 
     if k0 <= p - 3:
@@ -180,8 +187,8 @@ def _sigma_parts(
         case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
     else:
         case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
-    dx = tuple(d for d, _ in islice(_long_division(i, scale), order))
-    ref = 3 * walk_value(DigitSeq(dx, (0,), x), n)  # digit weight f(1, n)
+    seq = DigitSeq(tuple(dx), (0,), Fraction(i, scale))
+    ref = 3 * walk_value(seq, n)  # digit weight f(1, n)
     low, high = ref - below, ref + above
 
     if not -6 * j <= s2 <= 3 * j:
@@ -204,9 +211,10 @@ def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
     T_n(k) = 3**m * 3**-n * Phi(3**n * k / 3**m) is an integer; each sigma
     is an integer sum over j.  ``_sigma_parts`` checks the proof on those
     integers, multiplied through by j: the sum of the four parts equals
-    3**m * (``k_exact(x + h)`` - ``k_exact(x)``), sigma2 in [-6, 3],
-    |sigma4| <= 9, and the quotient lies in the case-appropriate sandwich
-    around the digit weight f(1, n) = 3 W(n) of x.  A failed check raises
+    3**m * (K(x + h) - K(x)), with K at each end from its digit series and
+    equal to that end's sawtooth sum, sigma2 in [-6, 3], |sigma4| <= 9, and
+    the quotient lies in the case-appropriate sandwich around the digit
+    weight f(1, n) = 3 W(n) of x.  A failed check raises
     ProofCheckError, also under ``python -O``; the Fraction fields are
     built from the integers only after every check has passed.
     """

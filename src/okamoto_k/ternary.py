@@ -6,29 +6,55 @@ ending in all 0's, except x = 1 which keeps the all-2's tail.  Digit
 indices are 1-based throughout, so ``digit_at(x, 1)`` is the first digit
 after the radix point.
 
-``_long_division`` gives every base-3 digit of an exact rational r/q.  With
-q = 3**s * q', 3 not dividing q', the first s digits are the preperiod, and
-the period closes when the remainder returns, as tripling permutes Z/q'.
+``_digits`` gives the base-3 digits of an exact rational r/q eight at a
+time: one integer division ``divmod(r * 3**8, q)`` yields a number below
+3**8, whose eight digits are read from a table built at import.  With
+q = 3**s * q', 3 not dividing q', the first s digits are the preperiod and
+the period length is the order of 3 modulo q', which ``_period_length``
+finds before any digit is made, eight powers of 3 per step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import product
 
 from .errors import DomainError, ResourceLimitError
 
 _PERIOD_CAP = 10**6  # digits of a period that expand_rational computes
 _DIGITS = frozenset((0, 1, 2))
+_GROUP = 8  # digits per integer division
+_GROUP_DIGITS = tuple(product((0, 1, 2), repeat=_GROUP))  # g -> the digits of g
+_LEAF = 512  # digits per int(text, 3); int_max_str_digits is never below 640
+_DIGIT_TEXT = bytes.maketrans(bytes(range(3)), b"012")  # digit -> numeral
 
 
-def _long_division(r: int, q: int) -> Iterator[tuple[int, int]]:
-    """The base-3 digits of r/q, 0 <= r < q, each with the remainder after it."""
-    while True:
-        d, r = divmod(3 * r, q)  # r < q keeps d in {0,1,2}
-        yield d, r
+def _digits(r: int, q: int, n: int) -> list[int]:
+    """The first n base-3 digits of r/q, 0 <= r < q."""
+    digits, scale = [], 3**_GROUP
+    for _ in range(-(-n // _GROUP)):
+        g, r = divmod(r * scale, q)  # r < q keeps g below scale
+        digits += _GROUP_DIGITS[g]
+    del digits[n:]
+    return digits
+
+
+def _period_length(q: int) -> int | None:
+    """The order of 3 modulo q, 3 not dividing q: the least L >= 1 with
+    3**L = 1 (mod q); None when it exceeds ``_PERIOD_CAP``.
+
+    3**(8k) = 3**-t (mod q), t in 1..8, exactly when the order divides
+    8k + t, so the first k with a match, at its smallest t, gives the order.
+    """
+    first = {pow(3, -t, q): t for t in range(_GROUP, 0, -1)}  # smallest t kept
+    step, power = pow(3, _GROUP, q), 1 % q
+    for base in range(0, _PERIOD_CAP, _GROUP):
+        t = first.get(power)
+        if t is not None:
+            return base + t if base + t <= _PERIOD_CAP else None
+        power = power * step % q
+    return None
 
 
 def _split_threes(q: int) -> tuple[int, int]:
@@ -48,29 +74,29 @@ def _ternary_order(x: Fraction) -> int:
     return m
 
 
-def _digits_value(digits: tuple[int, ...], lo: int, hi: int) -> int:
-    """The integer with base-3 digits digits[lo:hi], most significant first.
+def _digits_value(text: bytes, lo: int, hi: int) -> int:
+    """The integer whose base-3 numeral is text[lo:hi].
 
     Halving the range keeps the cost near that of one multiplication of
-    the full-size integers, where digit-by-digit accumulation is quadratic.
+    the full-size integers, where parsing the whole numeral at once is
+    quadratic; ``int`` parses each leaf of up to ``_LEAF`` digits.
     """
-    if hi - lo <= 64:
-        value = 0
-        for d in digits[lo:hi]:
-            value = 3 * value + d
-        return value
+    if hi - lo <= _LEAF:
+        return int(text[lo:hi] or b"0", 3)
     mid = (lo + hi) // 2
-    high = _digits_value(digits, lo, mid)
-    return high * 3 ** (hi - mid) + _digits_value(digits, mid, hi)
+    high = _digits_value(text, lo, mid)
+    return high * 3 ** (hi - mid) + _digits_value(text, mid, hi)
 
 
 def _reconstruct(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Fraction:
-    pre = _digits_value(preperiod, 0, len(preperiod))
+    text = bytes(preperiod + period).translate(_DIGIT_TEXT)
+    s = len(preperiod)
+    pre = _digits_value(text, 0, s)
     if not period:
-        return Fraction(pre, 3 ** len(preperiod))
+        return Fraction(pre, 3**s)
     cycle = 3 ** len(period) - 1
-    block = _digits_value(period, 0, len(period))
-    return Fraction(pre * cycle + block, 3 ** len(preperiod) * cycle)
+    block = _digits_value(text, s, len(text))
+    return Fraction(pre * cycle + block, 3**s * cycle)
 
 
 @dataclass(frozen=True)
@@ -113,23 +139,22 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
 
     With x = r/q in lowest terms and q = 3**s * q', 3 not dividing q', the
     preperiod is the first s digits.  The remainder after them is 3**s times
-    a residue mod q', which each digit triples; tripling permutes the
-    residues, so the remainder's first return closes the period.  A period
-    over ``_PERIOD_CAP`` digits raises ResourceLimitError.
+    a residue prime to q', which each digit triples, so it first returns
+    after L = ord_q'(3) digits, and exactly s + L digits are made.
+    A period over ``_PERIOD_CAP`` digits raises ResourceLimitError before
+    any digit is made.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise DomainError(f"{x} outside [0, 1]")
     if x == 1:
         return DigitSeq((), (2,), x)
-    s, _ = _split_threes(x.denominator)
-    start = x.numerator * 3**s % x.denominator  # the remainder after the preperiod
-    digits = []
-    for d, r in islice(_long_division(x.numerator, x.denominator), s + _PERIOD_CAP):
-        digits.append(d)
-        if r == start and len(digits) > s:
-            return DigitSeq(tuple(digits[:s]), tuple(digits[s:]), x)
-    raise ResourceLimitError(f"period of {x} exceeds cap of {_PERIOD_CAP} digits")
+    s, rest = _split_threes(x.denominator)
+    length = _period_length(rest)
+    if length is None:
+        raise ResourceLimitError(f"period of {x} exceeds cap of {_PERIOD_CAP} digits")
+    digits = _digits(x.numerator, x.denominator, s + length)
+    return DigitSeq(tuple(digits[:s]), tuple(digits[s:]), x)
 
 
 def digit_at(x: DigitSeq, k: int) -> int:

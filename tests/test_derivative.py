@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okamoto_k
-from okamoto_k import derivative
+from okamoto_k import derivative, functions
 from okamoto_k.derivative import (
     DerivativeClass,
+    _k_scaled,
     _sigma_parts,
     billingsley_divergence_witness,
     classification_report,
@@ -34,7 +36,7 @@ from okamoto_k.ternary import (
     walk_value,
 )
 
-from oracles import sigma_split_fractions
+from oracles import naive_ternary_digits, sigma_split_fractions
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=500)
 
@@ -182,33 +184,53 @@ class TestSigmaDecomposition:
     @pytest.mark.parametrize(
         "k_wrong",
         [
-            # cancels in K(x + h) - K(x), but 3**m * K(x) is no longer an integer
-            lambda z: k_exact(z) + Fraction(1, 3**12),
-            # 3**m * K(x) stays an integer, and the difference is off by h
-            lambda z: k_exact(z) + z,
+            # both ends off by 3**-m: cancels in K(x + h) - K(x)
+            lambda digits: _k_scaled(digits) + 1,
+            # both ends off by x: the difference is off by h
+            lambda digits: _k_scaled(digits) + reduce(lambda v, d: 3 * v + d, digits, 0),
         ],
-        ids=["off-by-3^-12", "off-by-x"],
+        ids=["off-by-3^-m", "off-by-x"],
     )
     def test_sum_violation_raises(self, monkeypatch, k_wrong):
-        monkeypatch.setattr(derivative, "k_exact", k_wrong)
+        monkeypatch.setattr(derivative, "_k_scaled", k_wrong)
         with pytest.raises(ProofCheckError, match="sigma sum differs"):
             sigma_decompose(Fraction(0), Fraction(1, 27))
         report = sigma_fuzz(40, seed=3)
         assert report["violations"] == report["trials"] == 40
+
+    def test_k_terms_offset_raises(self, monkeypatch):
+        # one more level adds 3**m, so K is off by 1 everywhere, in k_exact
+        # too; the parts and the difference of the ends keep their values
+        k_terms = functions._k_terms
+
+        def shifted(k, m):
+            return k_terms(k, m) + [3**m]
+
+        monkeypatch.setattr(functions, "_k_terms", shifted)
+        monkeypatch.setattr(derivative, "_k_terms", shifted)
+        with pytest.raises(ProofCheckError, match="sigma sum differs"):
+            sigma_decompose(Fraction(0), Fraction(1, 27))
+        report = sigma_fuzz(40, seed=3)
+        assert report["violations"] == report["trials"] == 40
+
+    def test_digit_series_matches_sawtooth_sum(self):
+        for m in range(8):
+            for i in range(3**m):
+                digits = naive_ternary_digits(Fraction(i, 3**m), m)
+                assert _k_scaled(digits) == 3**m * k_exact(Fraction(i, 3**m))
 
     def test_fuzz_counts_violations_under_optimize(self):
         # python -O strips assert statements; the bound checks must survive
         script = textwrap.dedent(
             """
             import json, sys
-            from fractions import Fraction
             from okamoto_k import derivative
 
-            walk_value, k_exact = derivative.walk_value, derivative.k_exact
+            walk_value, k_scaled = derivative.walk_value, derivative._k_scaled
             derivative.walk_value = lambda x, n: 10**6  # sandwich far off
             sandwich = derivative.sigma_fuzz(40, seed=3)
             derivative.walk_value = walk_value
-            derivative.k_exact = lambda z: k_exact(z) + Fraction(1, 3**12)
+            derivative._k_scaled = lambda digits: k_scaled(digits) + 1
             total = derivative.sigma_fuzz(40, seed=3)
             print(json.dumps(
                 {"optimize": sys.flags.optimize, "reports": [sandwich, total]}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from okamoto_k import ternary
 from okamoto_k.errors import DomainError, ResourceLimitError
 from okamoto_k.ternary import (
     DigitSeq,
+    _digits,
+    _period_length,
     digit_at,
     expand_rational,
     walk_value,
@@ -83,7 +86,7 @@ class TestExpandRational:
         if x != 1:
             assert set(seq.period) != {2}
 
-    @pytest.mark.parametrize("s", range(7))
+    @pytest.mark.parametrize("s", range(10))
     @pytest.mark.parametrize("q_rest", [1, 2, 7, 13, 101])
     def test_preperiod_is_the_power_of_three(self, s, q_rest):
         # q = 3**s * q' with 3 not dividing q': the preperiod has s digits
@@ -106,6 +109,21 @@ class TestExpandRational:
         with pytest.raises(ResourceLimitError):
             expand_rational(Fraction(1, 1019))  # period 509
 
+    @pytest.mark.parametrize(
+        "q,length",
+        # periods on either side of a multiple of the 8-digit group
+        [(1093, 7), (41, 8), (757, 9), (17, 16), (1871, 17), (8951, 25)],
+    )
+    def test_group_edge_periods(self, monkeypatch, q, length):
+        for x in (Fraction(1, q), Fraction(q - 1, q), Fraction(1, 3**7 * q)):
+            assert len(expand_rational(x).period) == length
+            _assert_matches_oracle(x)
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", length)
+        assert len(expand_rational(Fraction(1, q)).period) == length
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", length - 1)
+        with pytest.raises(ResourceLimitError, match=f"period of 1/{q} exceeds cap"):
+            expand_rational(Fraction(1, q))
+
     def test_long_period_matches_oracle_in_full(self):
         x = Fraction(7, 10**4)
         assert len(expand_rational(x).period) == 500
@@ -113,6 +131,26 @@ class TestExpandRational:
         y = x / 3
         assert expand_rational(y).preperiod == (0,)
         _assert_matches_oracle(y)
+
+
+class TestDigitEngine:
+    def test_digits_match_oracle(self):
+        rng = random.Random(5)
+        pairs = [(0, 1), (1, 2), (1, 3), (2, 3), (1, 41), (6560, 6561), (6561, 6562)]
+        for _ in range(200):
+            q = rng.randrange(1, 10**12)
+            pairs.append((rng.randrange(q), q))
+        for r, q in pairs:
+            for n in range(26):
+                assert _digits(r, q, n) == naive_ternary_digits(Fraction(r, q), n), (r, q)
+
+    def test_period_length_is_the_order_of_three(self):
+        for q in range(1, 3000):
+            if q % 3:
+                order, power = 1, 3 % q
+                while power != 1 % q:
+                    order, power = order + 1, power * 3 % q
+                assert _period_length(q) == order, q
 
 
 class TestDigitSeqValidation:
