@@ -47,6 +47,8 @@ CLASSIFY = [
         "1/30011", "5/100003", "1/100003", "1/999983",
         # periods of 7, 8, 9, 16, 17 and 25 digits, and a preperiod of 8
         "1/1093", "1/41", "1/757", "1/17", "1/1871", "1/8951", "1/6561",
+        # a period of 100002 digits; a preperiod of 5 before a period of 168
+        "99741/100003", "1/245187",
     )
 ]
 CONSTRUCT = [

@@ -10,7 +10,6 @@ quantitative content behind that criterion as runtime-checkable reports.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,9 +63,8 @@ def secant_slope(x: DigitSeq, n: int) -> Fraction:
     if x.value == 1:
         raise DomainError("x = 1 has no level-n interval to the right")
     scale = 3**n
-    u = Fraction(math.floor(x.value * scale), scale)
-    v = u + Fraction(1, scale)
-    return (k_exact(v) - k_exact(u)) * scale
+    k = x.value.numerator * scale // x.value.denominator  # floor(3^n x)
+    return (k_exact(Fraction(k + 1, scale)) - k_exact(Fraction(k, scale))) * scale
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,7 @@ class SigmaDecomposition:
     sandwich_high: Fraction
 
 
-def _k_scaled(digits: list[int]) -> int:
+def _k_scaled(digits: bytes) -> int:
     """3**m * K(x) for the x in [0, 1) whose base-3 digits are ``digits``.
 
     By the digit series, 3**m * K(x) is the sum over n < m of
@@ -187,7 +185,7 @@ def _sigma_parts(
         case_tag, n, below, above = "k0==p-2", p - 2, 15, 12
     else:
         case_tag, n, below, above = "k0==p-1", p - 1, 15, 12
-    seq = DigitSeq(tuple(dx), (0,), Fraction(i, scale))
+    seq = DigitSeq(dx, b"\0", Fraction(i, scale))
     ref = 3 * walk_value(seq, n)  # digit weight f(1, n)
     low, high = ref - below, ref + above
 

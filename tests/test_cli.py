@@ -294,10 +294,22 @@ def test_json_doc_matches_indent_encoder_on_commands(monkeypatch, capsys, argv):
         {"numpy": [np.float64(0.1), np.float64(-0.0)], "np": np.float64(math.nan)},
         {"strings": ['say "hi"', "back\\slash", "bell\x07tab\t", "é ü 漢 😀", ""]},
         {'key "q" \\ \x01 é': 'value "q" \\ \x1f 漢', "": ""},
+        # lists of ints next to the one-digit fast path
+        {"digits": [0, 1, 2, 9], "ten": [0, 10], "negative": [0, -1]},
+        {"bool": [True, 0], "big": [3**200, 1], "digits_in": [[0, 2], [1]]},
     ],
 )
 def test_json_doc_matches_indent_encoder_on_edges(payload):
     assert _json_doc(payload) == json_doc(payload)
+
+
+def test_json_doc_rejects_numpy_ints_like_the_encoder():
+    # bytes() takes an np.int64, json.dumps does not
+    payload = {"numpy_int": [np.int64(1), 2]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_doc(payload)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _json_doc(payload)
 
 
 def test_make_figures_script(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,7 +61,7 @@ class TestClassifyPoint:
         # period (0,0,1): drift 3 - 3 = 0, walk stays bounded
         value = Fraction(1, 26)  # 0.(001) repeating in base 3
         seq = expand_rational(value)
-        assert seq.period in ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert seq.period in (b"\0\0\1", b"\0\1\0", b"\1\0\0")
         assert period_drift(seq) == 0
         assert classify_point(seq) == DerivativeClass.NO_INFINITE_DERIVATIVE
         walk = [walk_value(seq, n) for n in range(1, 1001)]
@@ -94,6 +95,17 @@ class TestSecantSlope:
         seq = expand_rational(x)
         slope = secant_slope(seq, n)
         assert slope == 3 * walk_value(seq, n)
+
+    def test_integer_floor_matches_fraction_floor(self):
+        # every k/3^m with m <= 7 is some i/3^7; levels below, at and above m
+        scale = 3**7
+        for i in range(scale):
+            x = Fraction(i, scale)
+            seq = expand_rational(x)
+            for n in range(1, 10):
+                u = Fraction(math.floor(x * 3**n), 3**n)
+                want = (k_exact(u + Fraction(1, 3**n)) - k_exact(u)) * 3**n
+                assert secant_slope(seq, n) == want, (x, n)
 
 
 class TestDivergenceWitness:

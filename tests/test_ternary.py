@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,22 +41,22 @@ def _assert_matches_oracle(x):
 class TestExpandRational:
     def test_one_third_terminates_with_zero_period(self):
         seq = expand_rational(Fraction(1, 3))
-        assert seq.preperiod == (1,)
-        assert seq.period == (0,)
+        assert seq.preperiod == b"\1"
+        assert seq.period == b"\0"
 
     def test_one_uses_all_twos(self):
         seq = expand_rational(Fraction(1))
-        assert seq.preperiod == ()
-        assert seq.period == (2,)
+        assert seq.preperiod == b""
+        assert seq.period == b"\2"
 
     def test_one_quarter(self):
         seq = expand_rational(Fraction(1, 4))
-        assert seq.preperiod == ()
-        assert seq.period == (0, 2)
+        assert seq.preperiod == b""
+        assert seq.period == b"\0\2"
 
     def test_zero(self):
         seq = expand_rational(Fraction(0))
-        assert seq.period == (0,)
+        assert seq.period == b"\0"
 
     def test_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
@@ -129,7 +130,7 @@ class TestExpandRational:
         assert len(expand_rational(x).period) == 500
         _assert_matches_oracle(x)
         y = x / 3
-        assert expand_rational(y).preperiod == (0,)
+        assert expand_rational(y).preperiod == b"\0"
         _assert_matches_oracle(y)
 
 
@@ -142,7 +143,8 @@ class TestDigitEngine:
             pairs.append((rng.randrange(q), q))
         for r, q in pairs:
             for n in range(26):
-                assert _digits(r, q, n) == naive_ternary_digits(Fraction(r, q), n), (r, q)
+                want = naive_ternary_digits(Fraction(r, q), n)
+                assert list(_digits(r, q, n)) == want, (r, q)
 
     def test_period_length_is_the_order_of_three(self):
         for q in range(1, 3000):
@@ -157,6 +159,30 @@ class TestDigitSeqValidation:
     def test_bad_digit_rejected(self):
         with pytest.raises(DomainError):
             DigitSeq((3,), (0,), Fraction(1))
+
+    def test_tuple_list_and_bytes_give_equal_objects(self):
+        x = Fraction(1, 297)  # a preperiod of 3 digits and a period of 5
+        pre, per = (0, 0, 0), (0, 0, 2, 1, 1)
+        seqs = [
+            DigitSeq(pre, per, x),
+            DigitSeq(list(pre), list(per), x),
+            DigitSeq(bytes(pre), bytes(per), x),
+        ]
+        assert seqs[0] == seqs[1] == seqs[2] == expand_rational(x)
+        assert len({hash(seq) for seq in seqs}) == 1
+        assert all(type(seq.preperiod) is type(seq.period) is bytes for seq in seqs)
+
+    @pytest.mark.parametrize("bad", [3, -1, 256, 2.5, "1", None])
+    @pytest.mark.parametrize("where", ["preperiod", "period"])
+    def test_non_digit_rejected(self, bad, where):
+        digits = {"preperiod": [0, 0, 0], "period": [0, 0, 2, 1, 1]}
+        digits[where][1] = bad
+        with pytest.raises(DomainError, match=re.escape(f"digit {bad} outside {{0,1,2}}")):
+            DigitSeq(digits["preperiod"], digits["period"], Fraction(1, 297))
+
+    def test_non_digit_byte_rejected(self):
+        with pytest.raises(DomainError, match=re.escape("digit 3 outside {0,1,2}")):
+            DigitSeq(b"\0\3", b"\0", Fraction(1, 9))
 
     def test_mismatched_value_rejected(self):
         with pytest.raises(DomainError):
@@ -200,6 +226,8 @@ class TestWalkAndWeight:
             (Fraction(5, 17), [1, 9, 16, 17, 32, 160, 165]),
             # terminating: 2/9 = 0.02000...
             (Fraction(2, 9), [1, 2, 3, 50]),
+            # 1's in the preperiod 0100010 and the period 2101: n inside each
+            (Fraction(1234, 10935), [1, 2, 3, 6, 7, 8, 9, 12, 13]),
             # period 100002: n = 20 reads no whole cycle, n = 250000 two cycles
             (Fraction(1, 100003), [20, 100002, 250000]),
         ],
