@@ -12,8 +12,8 @@ usage error.
 
 Every json document, of every command, is written by ``_json_doc``: the
 layout that ``json.dumps`` gives with an indent of 2, with each list of
-scalars written by one call of the C encoder, or, when its items are ints
-0..9 such as the digits of an expansion, by one ``bytes.translate``.
+scalars written by one call of the C encoder, and the digits of a
+``classify`` expansion, which come as bytes, by one ``bytes.translate``.
 ``eval`` formats its points a block at a time in the same layout, after a
 head from ``_json_doc``.
 """
@@ -49,6 +49,7 @@ from .functions import (
     takagi_array,
     ternary_truncation,
 )
+from .ternary import _DIGIT_TEXT
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "OKAMOTO_K_OUTDIR"
@@ -150,8 +151,6 @@ def _svg_points(blocks: Blocks, ylo: float, yhi: float) -> str:
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-_ONE_DIGIT = bytes(range(10))
-_DECIMAL = bytes.maketrans(_ONE_DIGIT, b"0123456789")  # 0..9 -> its numeral
 
 
 def _json_layout(value, pad: str) -> str:
@@ -162,10 +161,10 @@ def _json_layout(value, pad: str) -> str:
     the newline and indent of each item as its separator; ``json.dumps``
     with an indent would run the pure-Python encoder on every item.  Each
     scalar goes through ``json.dumps`` either way, so the bytes are the
-    same.  A list of ints that are each 0..9, such as the digits of an
-    expansion, is packed into bytes and its numerals are made by one
-    ``bytes.translate``; an int below 10 is its own one-character numeral,
-    so the bytes are the same again.  Dict keys are strings.
+    same.  A ``bytes`` value is a string of ternary digits, as a
+    ``DigitSeq`` holds them, and is written as the list of those digits:
+    one ``bytes.translate`` makes their numerals, and a digit is its own
+    one-character numeral.  Dict keys are strings.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -176,19 +175,12 @@ def _json_layout(value, pad: str) -> str:
             f"{json.dumps(k)}: {_json_layout(v, inner)}" for k, v in value.items()
         )
         return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (bytes, list, tuple)):
         if not value:
             return "[]"
-        types = set(map(type, value))
-        packed = None
-        if types == {int}:  # exactly int: a bool is written true or false
-            try:
-                packed = bytes(value)
-            except ValueError:  # an int outside range(256)
-                pass
-        if packed is not None and not packed.translate(None, _ONE_DIGIT):
-            body = sep.join(packed.translate(_DECIMAL).decode())
-        elif _SCALAR_TYPES.issuperset(types):
+        if isinstance(value, bytes):
+            body = sep.join(value.translate(_DIGIT_TEXT).decode())
+        elif _SCALAR_TYPES.issuperset(map(type, value)):
             body = json.dumps(value, separators=(sep, ": "))[1:-1]
         else:
             body = sep.join(_json_layout(v, inner) for v in value)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ProofCheckError, ResourceLimitError
-from .functions import _S, _k_terms, k_exact
+from .functions import _k_scaled, _k_terms, k_exact
 from .ternary import DigitSeq, _digits, _ternary_order
 from .ternary import expand_rational, walk_value
 
@@ -121,20 +121,6 @@ class SigmaDecomposition:
     sandwich_high: Fraction
 
 
-def _k_scaled(digits: bytes) -> int:
-    """3**m * K(x) for the x in [0, 1) whose base-3 digits are ``digits``.
-
-    By the digit series, 3**m * K(x) is the sum over n < m of
-    3**(m - n) * (s(d) + W(n) * d), with d = d_{n+1} and s = (0, 1, -1).
-    It shares no code with ``_k_terms``, so each checks the other.
-    """
-    total = walk = 0
-    for d in digits:
-        total = 3 * total + _S[d] + walk * d
-        walk += -2 if d == 1 else 1
-    return 3 * total
-
-
 def _sigma_parts(
     i: int, j: int, order: int
 ) -> tuple[int, int, str, int, int, int, int, int, int]:
@@ -142,7 +128,9 @@ def _sigma_parts(
 
     Returns (p, k0, case_tag, s1, s2, s3, s4, sandwich_low, sandwich_high),
     where sigma_k = s_k / j and the quotient is (s1 + s2 + s3 + s4) / j.
-    Needs 0 <= i < i + j < 3**order.  Every check of ``sigma_decompose`` is
+    Needs 0 <= i < i + j < 3**order.  k0 is the length of the digit prefix
+    that x and x + h share, read from the same digits that ``_k_scaled``
+    sums and the walk counts.  Every check of ``sigma_decompose`` is
     decided on integers, its bounds multiplied through by j.  For the sum,
     ``_k_scaled`` at each end must equal the sum of that end's
     ``_k_terms``, and the difference of the two ends must equal the sum of
@@ -155,12 +143,11 @@ def _sigma_parts(
     while width > j:
         p, width = p + 1, width // 3
 
-    # the first k digits of i / 3**order are i // 3**(order - k)
-    k0, width = 0, scale // 3
-    while k0 < p and i // width == (i + j) // width:
-        k0, width = k0 + 1, width // 3
-    if k0 > p - 1:
-        raise DomainError("shared prefix exceeds p - 1; inconsistent inputs")
+    # k0 < p: sharing p digits would make j < 3**(order - p)
+    dx, dy = _digits(i, scale, order), _digits(i + j, scale, order)
+    k0 = 0
+    while dx[k0] == dy[k0]:
+        k0 += 1
 
     terms_x, terms_y = _k_terms(i, order), _k_terms(i + j, order)
     diffs = [b - a for a, b in zip(terms_x, terms_y)]
@@ -173,8 +160,7 @@ def _sigma_parts(
     )
     total = s1 + s2 + s3 + s4
 
-    dx = _digits(i, scale, order)
-    kx, ky = _k_scaled(dx), _k_scaled(_digits(i + j, scale, order))
+    kx, ky = _k_scaled(dx), _k_scaled(dy)
     if kx != sum(terms_x) or ky != sum(terms_y) or ky - kx != total:
         quotient = Fraction(ky - kx, j)
         raise ProofCheckError(f"sigma sum differs from the quotient {quotient}")
@@ -300,11 +286,15 @@ def sigma_fuzz(trials: int, seed: int) -> dict:
 
 
 def classification_report(x: Fraction) -> dict:
-    """JSON-ready classification of a rational point, with W(1..20)."""
+    """Classification of a rational point, with W(1..20), for ``cli``'s writer.
+
+    The expansion's preperiod and period are the ``DigitSeq`` bytes, one
+    byte per digit, which the writer lays out as lists of digits.
+    """
     seq = expand_rational(x)
     return {
         "x": f"{x.numerator}/{x.denominator}",
-        "expansion": seq.to_json(),
+        "expansion": {"preperiod": seq.preperiod, "period": seq.period},
         "drift": period_drift(seq),
         "verdict": classify_point(seq).value,
         "walk_prefix": [walk_value(seq, n) for n in range(1, _WALK_PREFIX + 1)],

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .functions import okamoto_iterative
+from .functions import _check_a, okamoto_iterative
 
 LN3 = math.log(3.0)
 _FIT_MIN_LEVEL = 3  # box levels below this are boundary-dominated
@@ -24,8 +24,7 @@ _BOX_LEVEL_CAP = 10  # finest box level: 3**10 + 1 breakpoints
 
 def box_dimension_formula(a: float) -> float:
     """Closed-form box dimension of the graph: 1 for a <= 1/2, else 1 + log3(4a-1)."""
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
+    _check_a(a)
     if a <= 0.5:
         return 1.0
     return 1.0 + math.log(4 * a - 1) / LN3

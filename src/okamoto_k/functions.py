@@ -5,7 +5,10 @@ the binary singular function L_a, the three-route family evaluators F_a
 (exact subdivision, digit series, functional equation), the
 parameter-derivative function K at a = 1/3 (three routes: the sawtooth
 series, the digit series and the exact rational sum), and a
-finite-difference probe of dF_a/da.
+finite-difference probe of dF_a/da.  The digit series of K is summed in
+one place, ``_k_scaled``, on integers: ``k_series_digits`` rounds its
+value once, and the sigma split checks it against the sawtooth terms of
+``_k_terms``.
 
 Every float evaluator carries an explicit truncation with a proven tail
 bound; ``k_exact`` and ``okamoto_iterative`` are the exact-rational
@@ -94,6 +97,18 @@ def kobayashi_terms_for(a: float, target: float) -> int:
 # elementary building blocks
 
 
+def _check_a(a) -> None:
+    """Raise DomainError unless the parameter a lies in (0, 1)."""
+    if not 0 < a < 1:
+        raise DomainError(f"parameter a={a} outside (0, 1)")
+
+
+def _check_point(x) -> None:
+    """Raise DomainError unless the point x lies in [0, 1]."""
+    if not 0 <= x <= 1:
+        raise DomainError(f"{x} outside [0, 1]")
+
+
 def _unit_array(xs) -> np.ndarray:
     """xs as a float64 array, checked to lie in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
@@ -130,8 +145,7 @@ def takagi(x: float) -> float:
 
     The error is at most ``binary_truncation().tail_bound`` = 2^-50.
     """
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_point(x)
     total = 0.0
     y = x
     w = 1.0
@@ -171,10 +185,8 @@ def lebesgue_L(a: float, x: float) -> float:
     affine map, and closes with the identity (exact for a = 1/2, where L is
     the identity).  Error <= max(a, 1-a)**LEBESGUE_DEPTH.  Steps stay in [0, 1].
     """
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_a(a)
+    _check_point(x)
     shift = 0.0
     scale = 1.0
     t = x
@@ -191,8 +203,7 @@ def lebesgue_L(a: float, x: float) -> float:
 
 def lebesgue_L_array(a: float, xs) -> np.ndarray:
     """``lebesgue_L`` at every point of xs, bit-identical to the scalar route."""
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
+    _check_a(a)
     t = _unit_array(xs)
     shift = np.zeros_like(t)
     scale = np.ones_like(t)
@@ -235,8 +246,7 @@ class PiecewiseLinear:
     def value_exact(self, x: Fraction) -> Fraction:
         """Exact interpolated value at rational x in [0, 1]."""
         x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise DomainError(f"{x} outside [0, 1]")
+        _check_point(x)
         nums = self.numerators
         scaled = x * 3**self.level
         k = math.floor(scaled)
@@ -260,8 +270,7 @@ def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
     lo*q + (q-p)*rise over q**(n+1), where rise = hi - lo.
     """
     a = Fraction(a)
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
+    _check_a(a)
     if level < 0:
         raise DomainError("level must be >= 0")
     if 3**level + 1 > _ITERATIVE_CAP:
@@ -299,10 +308,8 @@ def okamoto_series(
     trunc: SeriesTruncation | None = None,
 ) -> float:
     """Digit-product series for F_a(x); error <= trunc.tail_bound."""
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_a(a)
+    _check_point(x)
     trunc = trunc or kobayashi_truncation(a)
     p = (a, 1 - 2 * a, a)
     q = (0.0, a, 1 - a)
@@ -316,8 +323,7 @@ def okamoto_series(
 
 def okamoto_series_array(a: float, xs) -> np.ndarray:
     """Float-digit ``okamoto_series`` at every point of xs, bit-identical."""
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
+    _check_a(a)
     p = np.array((a, 1 - 2 * a, a))
     q = np.array((0.0, a, 1 - a))
     y = _unit_array(xs)
@@ -341,10 +347,8 @@ def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
     map, so the error is <= max(a, 1-a)**depth.  Steps stay in [0, 1]:
     fl(3 * fl(1/3)) = 1, fl(3 * fl(2/3)) = 2, and subtractions are exact.
     """
-    if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_a(a)
+    _check_point(x)
     shift = 0.0
     scale = 1.0
     t = x
@@ -369,8 +373,7 @@ def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
 
 def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
     """K via the sawtooth series sum_n 3^-n Phi(3^n x)."""
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_point(x)
     trunc = trunc or ternary_truncation()
     total = 0.0
     y = x
@@ -407,21 +410,28 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
 
 
 def k_series_digits(x: DigitSeq) -> float:
-    """K via the digit series with weights s(d) + (n - 3*I1(1,n)) * d.
+    """K via ``TERNARY_TERMS`` terms of the digit series, like ``k_series_phi``.
 
-    s(0)=0, s(1)=1, s(2)=-1; I1(1,n) counts 1's among the first n digits.
-    Sums ``TERNARY_TERMS`` terms, like ``k_series_phi`` at its default.
+    The sum is ``_k_scaled`` of the first digits of x, exact on integers,
+    divided by 3**TERNARY_TERMS and so rounded once.
     """
-    total = 0.0
-    ones = 0
-    w = 1.0
-    for n in range(TERNARY_TERMS):
-        d = digit_at(x, n + 1)
-        total += w * (_S[d] + (n - 3 * ones) * d)
-        if d == 1:
-            ones += 1
-        w /= 3.0
-    return total
+    digits = bytes(digit_at(x, n) for n in range(1, TERNARY_TERMS + 1))
+    return _k_scaled(digits) / 3**TERNARY_TERMS
+
+
+def _k_scaled(digits: bytes) -> int:
+    """3**m * K(x) for the x in [0, 1) whose m base-3 digits are ``digits``.
+
+    By the digit series, 3**m * K(x) is the sum over n < m of
+    3**(m - n) * (s(d) + W(n) * d), with d = d_{n+1}, s = (0, 1, -1) and
+    W(n) = n - 3 * (number of 1's among the first n digits).  It shares no
+    code with ``_k_terms``, so each checks the other.
+    """
+    total = walk = 0
+    for d in digits:
+        total = 3 * total + _S[d] + walk * d
+        walk += -2 if d == 1 else 1
+    return 3 * total
 
 
 def _k_terms(k: int, m: int) -> list[int]:
@@ -455,8 +465,7 @@ def k_exact(x: Fraction) -> Fraction:
     3**m; this is the oracle for every float route.
     """
     x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_point(x)
     m = _ternary_order(x)
     return Fraction(sum(_k_terms(x.numerator, m)), 3**m)
 

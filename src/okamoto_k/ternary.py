@@ -14,8 +14,8 @@ the period length is the order of 3 modulo q', which ``_period_length``
 finds before any digit is made, eight powers of 3 per step.
 
 Digits are held as ``bytes``, one byte per digit, from ``_digits`` through
-``DigitSeq`` to the walk, so that checking, counting and converting them
-each run in C over the whole string.
+``DigitSeq`` to the walk and the json writer, so that checking, counting
+and converting them each run in C over the whole string.
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ class DigitSeq:
             raise DomainError("empty period is only allowed for x = 0")
         if _reconstruct(digits.translate(_DIGIT_TEXT), len(pre)) != self.value:
             raise DomainError("digits do not reconstruct the stored value")
-
-    def to_json(self) -> dict:
-        return {"preperiod": list(self.preperiod), "period": list(self.period)}
 
 
 def expand_rational(x: Fraction | int | str) -> DigitSeq:

@@ -234,6 +234,19 @@ def svg_per_point(points: Iterable[tuple[float, float]], ylo: float, yhi: float)
     return "\n".join(parts) + "\n"
 
 
+def _bytes_as_list(value):
+    """A bytes value as the list of its byte values; the encoder's TypeError
+    for anything else."""
+    if isinstance(value, bytes):
+        return list(value)
+    return json.JSONEncoder().default(value)
+
+
 def json_doc(payload: dict) -> str:
-    """A command's json document as ``json.dumps`` lays it out with an indent."""
-    return json.dumps({"schema_version": 1, **payload}, indent=2) + "\n"
+    """A command's json document as ``json.dumps`` lays it out with an indent.
+
+    A bytes value, such as the digits of an expansion, is written as the
+    list of its byte values.
+    """
+    doc = {"schema_version": 1, **payload}
+    return json.dumps(doc, indent=2, default=_bytes_as_list) + "\n"

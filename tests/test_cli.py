@@ -294,9 +294,13 @@ def test_json_doc_matches_indent_encoder_on_commands(monkeypatch, capsys, argv):
         {"numpy": [np.float64(0.1), np.float64(-0.0)], "np": np.float64(math.nan)},
         {"strings": ['say "hi"', "back\\slash", "bell\x07tab\t", "é ü 漢 😀", ""]},
         {'key "q" \\ \x01 é': 'value "q" \\ \x1f 漢', "": ""},
-        # lists of ints next to the one-digit fast path
+        # lists of ints, which the C encoder writes, digits or not
         {"digits": [0, 1, 2, 9], "ten": [0, 10], "negative": [0, -1]},
         {"bool": [True, 0], "big": [3**200, 1], "digits_in": [[0, 2], [1]]},
+        # ternary digits held as bytes, as classify's expansion holds them
+        {"empty": b"", "digits": b"\0\1\2", "one": b"\2"},
+        {"nested": {"expansion": {"preperiod": b"\1", "period": b"\0\2"}},
+         "in_list": [b"\2\0", b"", [b"\1"]], "next_to": [0, b"\0"]},
     ],
 )
 def test_json_doc_matches_indent_encoder_on_edges(payload):
@@ -304,7 +308,7 @@ def test_json_doc_matches_indent_encoder_on_edges(payload):
 
 
 def test_json_doc_rejects_numpy_ints_like_the_encoder():
-    # bytes() takes an np.int64, json.dumps does not
+    # json.dumps refuses an np.int64, and so does the writer
     payload = {"numpy_int": [np.int64(1), 2]}
     with pytest.raises(TypeError, match="not JSON serializable"):
         json_doc(payload)

@@ -271,6 +271,21 @@ class TestSigmaDecomposition:
                 dec = dataclasses.asdict(sigma_decompose(x, h))
                 assert dec == sigma_split_fractions(x, h), (x, h)
 
+    def test_parts_match_fraction_oracle_at_every_order_up_to_4(self):
+        # every pair at every order, also where i and j share a factor of 3
+        for order in range(1, 5):
+            scale = 3**order
+            for i in range(scale):
+                for j in range(1, scale - i):
+                    p, k0, tag, *parts, low, high = _sigma_parts(i, j, order)
+                    want = sigma_split_fractions(Fraction(i, scale), Fraction(j, scale))
+                    got = {"p": p, "k0": k0, "case_tag": tag}
+                    got.update(
+                        (f"sigma{k}", Fraction(s, j)) for k, s in enumerate(parts, 1)
+                    )
+                    got.update(sandwich_low=low, sandwich_high=high)
+                    assert got == {k: want[k] for k in got}, (i, j, order)
+
     def test_parts_do_not_depend_on_the_order(self):
         # two more trailing zero digits add two zero terms and scale i, j by 9
         for i in range(81):
@@ -326,7 +341,7 @@ class TestClassificationReport:
         assert rep["verdict"] == "PLUS_INFINITY"
         assert rep["drift"] == 2
         assert len(rep["walk_prefix"]) == 20
-        assert rep["expansion"] == {"preperiod": [], "period": [0, 2]}
+        assert rep["expansion"] == {"preperiod": b"", "period": b"\0\2"}
 
     def test_walk_prefix_five_ninths(self):
         # 5/9 = 0.12000... in base 3

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from okamoto_k.errors import DomainError, ResourceLimitError
 from okamoto_k.functions import (
+    TERNARY_TERMS,
     SeriesTruncation,
     big_phi,
     binary_truncation,
@@ -34,7 +36,12 @@ from okamoto_k.functions import (
 )
 from okamoto_k.ternary import expand_rational
 
-from oracles import big_phi_exact, subdivision_fractions, takagi_quadrature_free
+from oracles import (
+    big_phi_exact,
+    naive_ternary_digits,
+    subdivision_fractions,
+    takagi_quadrature_free,
+)
 
 ternary_rationals = st.integers(0, 3**12).map(lambda k: Fraction(k, 3**12))
 
@@ -231,6 +238,22 @@ class TestKRoutes:
         assert k_series_digits(expand_rational(Fraction(1, 3))) == pytest.approx(1.0)
         assert k_series_digits(expand_rational(Fraction(1, 9))) == pytest.approx(2 / 3)
         assert k_series_digits(expand_rational(Fraction(0))) == 0.0
+
+    def test_series_digits_is_the_exact_sum_rounded_once(self):
+        # the digit series in Fractions, on digits by repeated multiplication
+        rnd = random.Random(40)
+        for _ in range(3000):
+            q = rnd.randrange(1, 10**4)
+            x = Fraction(rnd.randrange(q), q)
+            digits = naive_ternary_digits(x, TERNARY_TERMS)
+            want = sum(
+                (
+                    Fraction((0, 1, -1)[d] + (n - 3 * digits[:n].count(1)) * d, 3**n)
+                    for n, d in enumerate(digits)
+                ),
+                Fraction(0),
+            )
+            assert k_series_digits(expand_rational(x)) == float(want), x
 
     @given(ternary_rationals)
     @settings(max_examples=300, deadline=None)
