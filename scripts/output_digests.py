@@ -9,6 +9,11 @@ script at two commits and diffing the two outputs shows whether a change
 kept every output byte:
 
     python3 scripts/output_digests.py > after.txt
+
+Two calls, ``construct --a 1e-4000 --level 12`` and ``experiment box-dim
+--a 1e-4000 --levels 10``, are refused at once by the numerator bit cap of
+``okamoto_iterative``; a checkout from before that cap would try to build
+gigabytes of numerators on them.
 """
 
 import hashlib
@@ -63,6 +68,7 @@ EVAL = [
         "lebesgue --a 0.8", "K --terms 20", "Kn --level 5",
     )
 ] + [f"eval --fn okamoto --a 0.7 --samples 100001 --format {f}" for f in ("csv", "json")]
+EVAL += ["eval --fn okamoto --a 1e-17 --samples 3"]  # 1 - 2a rounds to 1.0
 
 # calls that must fail, by the exit code they must give
 USAGE = [
@@ -70,6 +76,7 @@ USAGE = [
     "eval --fn takagi --a 0.5",
     "experiment hata-yamaguti --seed 5",
     "classify 1/4 --output /nonexistent/dir/x.json",
+    "experiment hata-yamaguti --step -1e-6",  # argparse reads -1e-6 as a flag
 ]
 DOMAIN = [
     "eval --fn lebesgue --a 7 --samples 9",
@@ -86,6 +93,8 @@ DOMAIN = [
     "experiment sigma-fuzz --trials 0",
     "experiment sigma-fuzz --trials -5",
     "experiment hata-yamaguti --grid 0",
+    "experiment hata-yamaguti --step 0",
+    "experiment hata-yamaguti --step=-1e-6",
 ]
 CAP = [
     "experiment box-dim --levels 11",
@@ -98,6 +107,14 @@ CAP = [
     "experiment sigma-fuzz --trials 1000001",
     "experiment hata-yamaguti --grid 1000000",
     "classify 1/1000000007",
+    # more decimal digits than Python writes as text
+    "classify 1e-5000",
+    "construct --a 1e-5000 --level 1",
+    "experiment box-dim --a 1e-5000 --levels 4",
+    "construct --a 1e-4000 --level 2",
+    # over the numerator bit cap of okamoto_iterative
+    "construct --a 1e-4000 --level 12",
+    "experiment box-dim --a 1e-4000 --levels 10",
 ]
 CALLS = EXPERIMENTS + CLASSIFY + CONSTRUCT + EVAL + USAGE + DOMAIN + CAP
 

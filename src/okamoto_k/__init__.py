@@ -50,7 +50,6 @@ from .functions import (
 )
 from .ternary import (
     DigitSeq,
-    digit_at,
     expand_rational,
     walk_value,
 )

@@ -8,7 +8,8 @@ one shot after the command has returned, so a failed run writes nothing
 and never leaves a partial file; identical configs (plus seed) give
 byte-identical output.  Exit codes: 0 success, 2 usage, 3 domain error,
 4 resource cap exceeded; an ``--output`` path that cannot be written is a
-usage error.
+usage error, and a rational that Python could not write back as text
+(over 4300 decimal digits by default) exceeds a cap.
 
 Every json document, of every command, is written by ``_json_doc``: the
 layout that ``json.dumps`` gives with an indent of 2, with each list of
@@ -61,11 +62,23 @@ _DEFAULT_A = 1 / 3  # --a when not given, and eval's json "a" for every --fn
 Blocks = Iterable[tuple[np.ndarray, np.ndarray]]  # (xs, values) slices of a grid
 
 
+def _check_decimal_digits(n: int, what: str) -> None:
+    """Raise ResourceLimitError if ``str(n)``, n >= 0, would exceed Python's
+    int-to-text digit limit (4300 by default), which every output of n
+    goes through."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, before 3.10.7
+    # 2**(3 * limit) < 10**limit: only a long n pays for the power of 10
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise ResourceLimitError(f"{what} has more than {limit} decimal digits")
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}") from exc
+    _check_decimal_digits(max(abs(x.numerator), x.denominator), f"{text!r} as p/q")
+    return x
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -271,6 +284,8 @@ def _cmd_construct(args) -> str:
     denom = 3**args.level
     ord_den = pl.denominator
     if args.format == "json":
+        # the ordinate a**level = p**level / q**level is in lowest terms
+        _check_decimal_digits(ord_den, f"the denominator of a**{args.level}")
         return _json_doc(
             {
                 "command": "construct",

@@ -30,11 +30,8 @@ class DerivativeClass(enum.Enum):
 
 
 def period_drift(x: DigitSeq) -> int:
-    """Change of W over one period: L - 3 * (ones in the period).
-
-    The implicit all-0 tail of an empty period drifts +1 per step.
-    """
-    return (len(x.period) or 1) - 3 * x.period.count(1)
+    """Change of W over one period: L - 3 * (ones in the period)."""
+    return len(x.period) - 3 * x.period.count(1)
 
 
 def classify_point(x: DigitSeq) -> DerivativeClass:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .ternary import DigitSeq, _ternary_order, digit_at
+from .ternary import DigitSeq, _ternary_order
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50  # the Takagi series: tail <= 2**-50
@@ -39,6 +39,9 @@ LEBESGUE_DEPTH = 60  # binary digits unrolled by L_a: error <= max(a, 1-a)**60
 
 _S = (0, 1, -1)  # sign weight per digit
 _ITERATIVE_CAP = 3**12 + 1
+# bits of okamoto_iterative's numerators, (3**n + 1) * n * bits(q) at level n:
+# 2**28 (a = 1/10**1539, level 8) held 40 MB and took 0.5 s on one core
+_ITERATIVE_BITS = 2**28
 _SAMPLES_CAP = 10**6  # points of sample_grid
 
 
@@ -79,9 +82,13 @@ def kobayashi_truncation(a: float, terms: int = TERNARY_TERMS) -> SeriesTruncati
     """Truncation for the digit series of F_a.
 
     The n-th term is bounded by r(a)^(n-1) * max(a, 1-a), so the tail
-    dropped after N terms is at most r^N * max(a, 1-a) / (1 - r).
+    dropped after N terms is at most r^N * max(a, 1-a) / (1 - r).  Where
+    r rounds to 1, as 1 - 2a does for a below about 2.8e-17, the bound is
+    infinite and no term count reaches a target: DomainError.
     """
     r = contraction_ratio(a)
+    if r >= 1:
+        raise DomainError(f"contraction ratio of a={a} rounds to 1")
     return SeriesTruncation(terms, r**terms * max(a, 1 - a) / (1 - r))
 
 
@@ -267,7 +274,10 @@ def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
     breakpoints at fractions a and 1-a of the segment's rise.  With
     a = p/q and ordinates held as integers over q**n, one refinement maps
     the numerators lo, hi of a segment to lo*q, lo*q + p*rise and
-    lo*q + (q-p)*rise over q**(n+1), where rise = hi - lo.
+    lo*q + (q-p)*rise over q**(n+1), where rise = hi - lo.  The numerators
+    of level n hold at most n * bits(q) bits each; a level whose 3**n + 1
+    numerators could exceed ``_ITERATIVE_BITS`` bits in all raises
+    ResourceLimitError before any is made.
     """
     a = Fraction(a)
     _check_a(a)
@@ -278,6 +288,11 @@ def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
             f"level {level} exceeds cap of {_ITERATIVE_CAP} breakpoints"
         )
     p, q = a.numerator, a.denominator
+    if (3**level + 1) * level * q.bit_length() > _ITERATIVE_BITS:
+        raise ResourceLimitError(
+            f"level {level} with a {q.bit_length()}-bit denominator of a exceeds "
+            f"cap of {_ITERATIVE_BITS} numerator bits"
+        )
     nums = [0, 1]
     for _ in range(level):
         nxt: list[int] = []
@@ -310,12 +325,12 @@ def okamoto_series(
     """Digit-product series for F_a(x); error <= trunc.tail_bound."""
     _check_a(a)
     _check_point(x)
-    trunc = trunc or kobayashi_truncation(a)
+    terms = trunc.terms if trunc else TERNARY_TERMS
     p = (a, 1 - 2 * a, a)
     q = (0.0, a, 1 - a)
     total = 0.0
     prod = 1.0
-    for d in _float_digits(float(x), trunc.terms):
+    for d in _float_digits(float(x), terms):
         total += prod * q[d]
         prod *= p[d]
     return total
@@ -329,7 +344,7 @@ def okamoto_series_array(a: float, xs) -> np.ndarray:
     y = _unit_array(xs)
     total = np.zeros_like(y)
     prod = np.ones_like(y)
-    for _ in range(kobayashi_truncation(a).terms):
+    for _ in range(TERNARY_TERMS):
         y3 = 3 * y
         d = np.minimum(2.0, np.floor(y3))
         y = y3 - d
@@ -413,9 +428,11 @@ def k_series_digits(x: DigitSeq) -> float:
     """K via ``TERNARY_TERMS`` terms of the digit series, like ``k_series_phi``.
 
     The sum is ``_k_scaled`` of the first digits of x, exact on integers,
-    divided by 3**TERNARY_TERMS and so rounded once.
+    divided by 3**TERNARY_TERMS and so rounded once.  The digits are one
+    slice of the preperiod and as many periods as they reach into.
     """
-    digits = bytes(digit_at(x, n) for n in range(1, TERNARY_TERMS + 1))
+    cycles = -(-TERNARY_TERMS // len(x.period))
+    digits = (x.preperiod + x.period * cycles)[:TERNARY_TERMS]
     return _k_scaled(digits) / 3**TERNARY_TERMS
 
 
@@ -484,7 +501,9 @@ def dFa_da_fd(a: float, x: float, h: float) -> float:
 
 
 def hata_yamaguti_residual(grid: int, h: float) -> float:
-    """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|."""
+    """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|, step h > 0."""
+    if not h > 0:
+        raise DomainError(f"step h={h} must be > 0")
     xs = sample_grid(grid + 1)
     hi = lebesgue_L_array(0.5 + h, xs)
     lo = lebesgue_L_array(0.5 - h, xs)

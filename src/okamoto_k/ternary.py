@@ -2,9 +2,9 @@
 
 Digit sequences are eventually periodic ternary expansions under the
 canonical convention: when a number has two expansions we keep the one
-ending in all 0's, except x = 1 which keeps the all-2's tail.  Digit
-indices are 1-based throughout, so ``digit_at(x, 1)`` is the first digit
-after the radix point.
+ending in all 0's, except x = 1 which keeps the all-2's tail.  Every
+expansion, x = 0 included, has a nonempty period, so a fold over its
+preperiod and one period covers all of its digits.
 
 ``_digits`` gives the base-3 digits of an exact rational r/q eight at a
 time: one integer division ``divmod(r * 3**8, q)`` yields a number below
@@ -20,7 +20,6 @@ and converting them each run in C over the whole string.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -98,36 +97,21 @@ def _reconstruct(text: bytes, s: int) -> Fraction:
     """The value of the expansion whose base-3 numeral is text, of which the
     first s digits are the preperiod and the rest the period."""
     pre = _digits_value(text, 0, s)
-    if len(text) == s:
-        return Fraction(pre, 3**s)
     cycle = 3 ** (len(text) - s) - 1
     block = _digits_value(text, s, len(text))
     return Fraction(pre * cycle + block, 3**s * cycle)
-
-
-def _is_digit(d) -> bool:
-    try:
-        return operator.index(d) in (0, 1, 2)
-    except TypeError:
-        return False
-
-
-def _digit_error(*parts) -> DomainError:
-    """The error that names the first item of parts that is no digit."""
-    bad = next(d for part in parts for d in part if not _is_digit(d))
-    return DomainError(f"digit {bad} outside {{0,1,2}}")
 
 
 @dataclass(frozen=True)
 class DigitSeq:
     """Eventually periodic ternary expansion of a rational in [0, 1].
 
-    ``preperiod + period`` are the digits, held as ``bytes`` with one byte
-    per digit; the period repeats forever.  A tuple or list of ints given
-    for either is converted to bytes once, so ``DigitSeq((0,), (1, 2), x)``
-    equals the DigitSeq of the same digits given as bytes.  Terminating
-    expansions carry the explicit one-digit period 0 so every digit
-    position is defined.
+    ``preperiod + period`` are the digits, given and held as ``bytes`` with
+    one byte per digit; the period is nonempty and repeats forever.
+    Terminating expansions, x = 0 among them, carry the explicit one-digit
+    period 0.  Anything else, a tuple or bytearray of digits or an empty
+    period, raises DomainError, as do a byte above 2 and digits that do not
+    rebuild ``value``.
     """
 
     preperiod: bytes
@@ -137,17 +121,13 @@ class DigitSeq:
     def __post_init__(self):
         pre, period = self.preperiod, self.period
         if type(pre) is not bytes or type(period) is not bytes:
-            try:  # bytes() alone would read an int as a length, a buffer as raw bytes
-                pre, period = bytes(list(pre)), bytes(list(period))
-            except (TypeError, ValueError):  # an item that is no int in range(256)
-                raise _digit_error(pre, period) from None
-            object.__setattr__(self, "preperiod", pre)
-            object.__setattr__(self, "period", period)
+            raise DomainError("preperiod and period must be bytes")
+        if not period:
+            raise DomainError("the period must have at least one digit")
         digits = pre + period
-        if digits.translate(None, _DIGITS):  # one pass in C
-            raise _digit_error(digits)
-        if not period and self.value != 0:
-            raise DomainError("empty period is only allowed for x = 0")
+        bad = digits.translate(None, _DIGITS)  # one pass in C
+        if bad:
+            raise DomainError(f"digit {bad[0]} outside {{0,1,2}}")
         if _reconstruct(digits.translate(_DIGIT_TEXT), len(pre)) != self.value:
             raise DomainError("digits do not reconstruct the stored value")
 
@@ -179,22 +159,11 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
     return DigitSeq(digits[:s], digits[s:], x)
 
 
-def digit_at(x: DigitSeq, k: int) -> int:
-    """Digit at 1-based position k of the canonical expansion."""
-    if k < 1:
-        raise DomainError("digit positions are 1-based")
-    if k <= len(x.preperiod):
-        return x.preperiod[k - 1]
-    if not x.period:
-        return 0
-    return x.period[(k - len(x.preperiod) - 1) % len(x.period)]
-
-
 def walk_value(x: DigitSeq, n: int) -> int:
     """W(n) = n - 3 * (number of 1's among the first n digits); W(0) = 0."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    cycles, partial = divmod(max(n - len(x.preperiod), 0), len(x.period) or 1)
+    cycles, partial = divmod(max(n - len(x.preperiod), 0), len(x.period))
     ones = x.preperiod.count(1, 0, n) + x.period.count(1, 0, partial)
     if cycles:  # the whole period is read only when n covers it
         ones += cycles * x.period.count(1)

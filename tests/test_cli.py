@@ -16,6 +16,7 @@ from okamoto_k import cli, dimension
 from okamoto_k.cli import (
     _csv_points, _json_doc, _json_points_doc, _point_blocks, _svg_points, main,
 )
+from okamoto_k.errors import ResourceLimitError
 from okamoto_k.functions import k_series_phi, okamoto_series
 
 from oracles import csv_per_point, json_doc, subdivision_fractions, svg_per_point
@@ -66,6 +67,14 @@ class TestEval:
             capsys, "eval", "--fn", "Kn", "--level", "2", "--samples", "4"
         )
         assert code == 0
+
+    def test_okamoto_at_a_tiny_a(self, capsys):
+        # 1 - 2a rounds to 1.0 here; the series still runs on its 40 terms
+        code, out, err = run(capsys, "eval", "--fn", "okamoto", "--a", "1e-17",
+                             "--samples", "3")
+        assert (code, err) == (0, "")
+        want = [(x, okamoto_series(1e-17, x)) for x in (0.0, 0.5, 1.0)]
+        assert out == csv_per_point(want)
 
     def test_too_few_samples(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "K", "--samples", "1")
@@ -403,6 +412,16 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "--a", "2/5", "--level", "20")
         assert code == 4
 
+    @pytest.mark.parametrize("level,fmt,code", [(1, "json", 0), (2, "json", 4), (2, "csv", 0)])
+    def test_ordinates_past_the_text_digit_limit(self, capsys, level, fmt, code):
+        # a**2 = 1/10**8000 has too many digits to write as text; its float is 0.0
+        got, out, err = run(capsys, "construct", "--a", "1e-4000", "--level", str(level),
+                            "--format", fmt)
+        assert got == code
+        if code:
+            assert (out, err) == ("", "error: the denominator of a**2 has more than "
+                                      "4300 decimal digits\n")
+
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     @pytest.mark.parametrize(
         "a,level", [("2/5", 6), ("5/6", 2), ("7/9", 5), ("1/3", 3), ("3/4", 0)]
@@ -456,6 +475,14 @@ class TestClassify:
         with pytest.raises(SystemExit) as exc:
             main(["classify"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["1e-4300", "-1e4300"])
+def test_rational_past_the_text_digit_limit(text):
+    # 10**4299 has the 4300 digits that Python writes as text, 10**4300 one more
+    assert cli._parse_rational(text.replace("4300", "4299"))
+    with pytest.raises(ResourceLimitError, match=f"'{text}' as p/q has more than 4300 decimal"):
+        cli._parse_rational(text)
 
 
 @pytest.mark.parametrize(
@@ -648,13 +675,20 @@ class TestOutputHandling:
              "need at least 2 grid points"),
             (["classify", "1/1000000007"], 4,
              "period of 1/1000000007 exceeds cap of 1000000 digits"),
+            (["experiment", "hata-yamaguti", "--step", "0"], 3, "step h=0.0 must be > 0"),
+            (["classify", "1e-5000"], 4,
+             "'1e-5000' as p/q has more than 4300 decimal digits"),
+            (["construct", "--a", "1e-4000", "--level", "12"], 4,
+             "level 12 with a 13288-bit denominator of a exceeds cap of 268435456 "
+             "numerator bits"),
             # a run that succeeds, with --output in a directory that does not exist
             (["classify", "1/4"], 2, "cannot write {target}: No such file or directory"),
         ],
         ids=["eval", "construct", "classify", "box-dim", "walk-mc", "walk-mc-samples-cap",
              "sigma-fuzz", "sigma-fuzz-no-trials", "sigma-fuzz-negative-trials",
              "sigma-fuzz-trials-cap", "hata-yamaguti", "classify-period-cap",
-             "unwritable-output"],
+             "hata-yamaguti-zero-step", "classify-long-rational",
+             "construct-numerator-bits", "unwritable-output"],
     )
     def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code, message):
         target = tmp_path / ("missing/out.txt" if exit_code == 2 else "out.txt")

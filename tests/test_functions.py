@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okamoto_k import functions
+from okamoto_k.dimension import box_dimension_estimate
 from okamoto_k.errors import DomainError, ResourceLimitError
 from okamoto_k.functions import (
     TERNARY_TERMS,
@@ -142,6 +144,22 @@ class TestOkamotoIterative:
         with pytest.raises(ResourceLimitError):
             okamoto_iterative(Fraction(1, 2), 15)
 
+    def test_numerator_bit_cap(self, monkeypatch):
+        # a = 2/5: the (3**n + 1) * n numerators of level n have at most 3n bits
+        monkeypatch.setattr(functions, "_ITERATIVE_BITS", 82 * 4 * 3)
+        assert len(okamoto_iterative(Fraction(2, 5), 4).numerators) == 82
+        with pytest.raises(ResourceLimitError, match="level 5 with a 3-bit denominator"):
+            okamoto_iterative(Fraction(2, 5), 5)
+
+    def test_long_denominator_refused_before_building(self):
+        # level 12 at a = 1/10**4000 would hold about 11 GB of numerators
+        a = Fraction(1, 10**4000)
+        for level in (8, 12):
+            with pytest.raises(ResourceLimitError, match=f"level {level} with a 13288-bit"):
+                okamoto_iterative(a, level)
+        with pytest.raises(ResourceLimitError, match="level 10 with a 13288-bit"):
+            box_dimension_estimate(a, 10)
+
     @pytest.mark.parametrize("a", ["1/3", "1/2", "2/5", "2/3", "3/4", "7/9"])
     def test_matches_fraction_subdivision(self, a):
         a = Fraction(a)
@@ -165,6 +183,24 @@ class TestOkamotoIterative:
 
 
 class TestOkamotoEvaluators:
+    @pytest.mark.parametrize("a", [1e-17, 2.7e-17, 5e-324])
+    def test_tiny_a(self, a):
+        # 1 - 2a rounds to 1.0: the series runs, its tail bound does not exist
+        assert functions.contraction_ratio(a) == 1.0
+        xs = np.array([0.0, 0.25, 0.5, 1.0])
+        want = [okamoto_series(a, x) for x in xs]
+        assert okamoto_series_array(a, xs).tolist() == want
+        assert want[0] == 0.0 and want[-1] == 1.0
+        with pytest.raises(DomainError, match="rounds to 1"):
+            kobayashi_truncation(a)
+        with pytest.raises(DomainError, match="rounds to 1"):
+            kobayashi_terms_for(a, 1e-14)
+
+    def test_smallest_a_with_a_tail_bound(self):
+        a = 3e-17  # 1 - 2a rounds to 1 - 2**-53
+        assert functions.contraction_ratio(a) < 1.0
+        assert kobayashi_truncation(a).terms == TERNARY_TERMS
+
     def test_series_at_breakpoints(self):
         for a in (0.25, 0.6):
             assert okamoto_series(a, 1 / 3) == pytest.approx(a, abs=1e-12)
@@ -242,9 +278,15 @@ class TestKRoutes:
     def test_series_digits_is_the_exact_sum_rounded_once(self):
         # the digit series in Fractions, on digits by repeated multiplication
         rnd = random.Random(40)
+        xs = []
         for _ in range(3000):
             q = rnd.randrange(1, 10**4)
-            x = Fraction(rnd.randrange(q), q)
+            xs.append(Fraction(rnd.randrange(q), q))
+        # a preperiod of 45 digits, past the 40 summed, one of 35 before a
+        # period of 8, and periods of 16 digits (three cycles) and of 100002
+        xs += [Fraction(2, 3**45), Fraction(1, 3**35 * 41), Fraction(5, 17)]
+        xs.append(Fraction(99741, 100003))
+        for x in xs:
             digits = naive_ternary_digits(x, TERNARY_TERMS)
             want = sum(
                 (
@@ -400,3 +442,8 @@ class TestArrayRoutes:
         assert hata_yamaguti_residual(grid, h) == worst
         with pytest.raises(DomainError):
             hata_yamaguti_residual(0, h)
+
+    @pytest.mark.parametrize("h", [0.0, -0.0, -1e-6, math.nan])
+    def test_hata_yamaguti_needs_a_positive_step(self, h):
+        with pytest.raises(DomainError, match=f"step h={h} must be > 0"):
+            hata_yamaguti_residual(100, h)

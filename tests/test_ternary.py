@@ -12,7 +12,6 @@ from okamoto_k.ternary import (
     DigitSeq,
     _digits,
     _period_length,
-    digit_at,
     expand_rational,
     walk_value,
 )
@@ -77,7 +76,8 @@ class TestExpandRational:
         if x == 1:
             return  # all-2's convention diverges from greedy division
         want = naive_ternary_digits(x, 30)
-        assert [digit_at(seq, k) for k in range(1, 31)] == want
+        cycles = -(-30 // len(seq.period))
+        assert list((seq.preperiod + seq.period * cycles)[:30]) == want
         _assert_matches_oracle(x)
 
     @given(unit_fractions)
@@ -97,9 +97,9 @@ class TestExpandRational:
             _assert_matches_oracle(x)
 
     def test_endpoints(self):
-        assert expand_rational(Fraction(0)) == DigitSeq((), (0,), Fraction(0))
+        assert expand_rational(Fraction(0)) == DigitSeq(b"", b"\0", Fraction(0))
         _assert_matches_oracle(Fraction(0))
-        assert expand_rational(Fraction(1)) == DigitSeq((), (2,), Fraction(1))
+        assert expand_rational(Fraction(1)) == DigitSeq(b"", b"\2", Fraction(1))
 
     def test_period_over_cap_is_resource_error(self, monkeypatch):
         # 1/1000000007 has a period of 500000003 digits
@@ -157,27 +157,50 @@ class TestDigitEngine:
 
 class TestDigitSeqValidation:
     def test_bad_digit_rejected(self):
-        with pytest.raises(DomainError):
-            DigitSeq((3,), (0,), Fraction(1))
+        # 0.3000... in base 3 is 1, so only the digit check can reject it
+        with pytest.raises(DomainError, match=re.escape("digit 3 outside {0,1,2}")):
+            DigitSeq(b"\3", b"\0", Fraction(1))
 
-    def test_tuple_list_and_bytes_give_equal_objects(self):
+    def test_bytes_give_the_expansion(self):
         x = Fraction(1, 297)  # a preperiod of 3 digits and a period of 5
-        pre, per = (0, 0, 0), (0, 0, 2, 1, 1)
-        seqs = [
-            DigitSeq(pre, per, x),
-            DigitSeq(list(pre), list(per), x),
-            DigitSeq(bytes(pre), bytes(per), x),
-        ]
-        assert seqs[0] == seqs[1] == seqs[2] == expand_rational(x)
-        assert len({hash(seq) for seq in seqs}) == 1
-        assert all(type(seq.preperiod) is type(seq.period) is bytes for seq in seqs)
+        seq = DigitSeq(b"\0\0\0", b"\0\0\2\1\1", x)
+        assert seq == expand_rational(x)
+        assert hash(seq) == hash(expand_rational(x))
 
-    @pytest.mark.parametrize("bad", [3, -1, 256, 2.5, "1", None])
+    @pytest.mark.parametrize(
+        "convert",
+        [tuple, list, bytearray, lambda b: "".join(map(str, b))],
+        ids=["tuple", "list", "bytearray", "str"],
+    )
+    @pytest.mark.parametrize("where", ["preperiod", "period"])
+    def test_non_bytes_rejected(self, convert, where):
+        digits = {"preperiod": b"\0\0\0", "period": b"\0\0\2\1\1"}
+        digits[where] = convert(digits[where])  # as bytes, these rebuild 1/297
+        with pytest.raises(DomainError, match="preperiod and period must be bytes"):
+            DigitSeq(digits["preperiod"], digits["period"], Fraction(1, 297))
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    def test_empty_period_rejected(self, x):
+        pre = expand_rational(x).preperiod
+        with pytest.raises(DomainError, match="the period must have at least one digit"):
+            DigitSeq(pre, b"", x)
+
+    # 49 is the numeral b"1"; -1 to None are items that no byte can hold
+    @pytest.mark.parametrize("bad", [3, 49, 255, -1, 256, 2.5, "1", None])
     @pytest.mark.parametrize("where", ["preperiod", "period"])
     def test_non_digit_rejected(self, bad, where):
         digits = {"preperiod": [0, 0, 0], "period": [0, 0, 2, 1, 1]}
         digits[where][1] = bad
-        with pytest.raises(DomainError, match=re.escape(f"digit {bad} outside {{0,1,2}}")):
+        other = "period" if where == "preperiod" else "preperiod"
+        digits[other] = bytes(digits[other])
+        if isinstance(bad, int) and 0 <= bad < 256:
+            digits[where] = bytes(digits[where])
+            message = f"digit {bad} outside {{0,1,2}}"
+        else:  # only a list holds it, and the type check rejects the list
+            with pytest.raises((TypeError, ValueError)):
+                bytes(digits[where])
+            message = "preperiod and period must be bytes"
+        with pytest.raises(DomainError, match=re.escape(message)):
             DigitSeq(digits["preperiod"], digits["period"], Fraction(1, 297))
 
     def test_non_digit_byte_rejected(self):
@@ -185,8 +208,8 @@ class TestDigitSeqValidation:
             DigitSeq(b"\0\3", b"\0", Fraction(1, 9))
 
     def test_mismatched_value_rejected(self):
-        with pytest.raises(DomainError):
-            DigitSeq((1,), (0,), Fraction(1, 2))
+        with pytest.raises(DomainError, match="digits do not reconstruct the stored value"):
+            DigitSeq(b"\1", b"\0", Fraction(1, 2))
 
     @pytest.mark.parametrize("x", [Fraction(7, 10**4), Fraction(7, 3 * 10**4)])
     @pytest.mark.parametrize("pos", [0, 250, 499])
@@ -194,21 +217,10 @@ class TestDigitSeqValidation:
         # periods of 500 digits take the halving path of the reconstruction
         seq = expand_rational(x)
         assert DigitSeq(seq.preperiod, seq.period, seq.value) == seq
-        period = list(seq.period)
+        period = bytearray(seq.period)
         period[pos] = (period[pos] + 1) % 3
-        with pytest.raises(DomainError):
-            DigitSeq(seq.preperiod, tuple(period), seq.value)
-
-
-class TestDigitAt:
-    def test_quarter_digits(self):
-        seq = expand_rational(Fraction(1, 4))
-        assert digit_at(seq, 1) == 0
-        assert digit_at(seq, 2) == 2
-
-    def test_one_digit_anywhere(self):
-        seq = expand_rational(Fraction(1))
-        assert digit_at(seq, 7) == 2
+        with pytest.raises(DomainError, match="digits do not reconstruct the stored value"):
+            DigitSeq(seq.preperiod, bytes(period), seq.value)
 
 
 class TestWalkAndWeight:
