@@ -44,6 +44,7 @@ EXPERIMENTS = [
     "experiment walk-mc --samples 300 --horizon 1000 --seed 7",
     "experiment sigma-fuzz --trials 300 --seed 1",
     "experiment hata-yamaguti --step 1e-5 --grid 7",
+    "experiment box-dim --a 1e-4000 --levels 4",  # 0.0 as a float
 ]
 CLASSIFY = [
     f"classify {x}"
@@ -69,6 +70,10 @@ EVAL = [
     )
 ] + [f"eval --fn okamoto --a 0.7 --samples 100001 --format {f}" for f in ("csv", "json")]
 EVAL += ["eval --fn okamoto --a 1e-17 --samples 3"]  # 1 - 2a rounds to 1.0
+# the grid points k / 3^6, whose digits a float step gets wrong first
+EVAL += [
+    f"eval --fn okamoto --a {a} --samples 730 --format json" for a in (0.7, 0.85)
+]
 
 # calls that must fail, by the exit code they must give
 USAGE = [

@@ -39,7 +39,6 @@ from .functions import (
     kobayashi_truncation,
     lebesgue_L,
     lebesgue_L_array,
-    okamoto_fe,
     okamoto_iterative,
     okamoto_series,
     okamoto_series_array,

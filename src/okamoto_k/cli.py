@@ -316,7 +316,7 @@ def _run_box_dim(args) -> tuple[dict, dict]:
         "fitted_dimension": result.fitted_dimension,
         "residual": result.residual,
         "fit_levels": list(result.fit_levels),
-        "closed_form": box_dimension_formula(float(a)),
+        "closed_form": box_dimension_formula(a),
     }
 
 

@@ -22,12 +22,12 @@ _FIT_MIN_LEVEL = 3  # box levels below this are boundary-dominated
 _BOX_LEVEL_CAP = 10  # finest box level: 3**10 + 1 breakpoints
 
 
-def box_dimension_formula(a: float) -> float:
-    """Closed-form box dimension of the graph: 1 for a <= 1/2, else 1 + log3(4a-1)."""
+def box_dimension_formula(a: Fraction | float) -> float:
+    """Box dimension of the graph, 1 for a <= 1/2, else 1 + log3(4a-1), at exact a."""
     _check_a(a)
     if a <= 0.5:
         return 1.0
-    return 1.0 + math.log(4 * a - 1) / LN3
+    return 1.0 + math.log(4 * float(a) - 1) / LN3
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Evaluators for the self-affine function family and its companions.
 
 Covers the tent map phi, the signed sawtooth Phi, the Takagi series T,
-the binary singular function L_a, the three-route family evaluators F_a
-(exact subdivision, digit series, functional equation), the
+the binary singular function L_a, the family F_a by two routes (exact
+subdivision, and the digit series over the exact ternary digits of x), the
 parameter-derivative function K at a = 1/3 (three routes: the sawtooth
 series, the digit series and the exact rational sum), and a
 finite-difference probe of dF_a/da.  The digit series of K is summed in
@@ -16,10 +16,11 @@ oracles the float routes are tested against.
 
 The ``*_array`` routes behind ``eval`` run the loop of their scalar twin
 over a float64 array, one term at a time, with the same IEEE operations in
-the same order (branches become ``np.where`` selects), so each element is
-bit-identical to the scalar call at that point.  Every operation is
-elementwise, so a route gives the same values on a grid as on any split of
-it into blocks, and its memory is O(len(xs)) whatever the term count.
+the same order (branches become ``np.where`` selects, and okamoto's exact
+digits come from integer limbs), so each element is bit-identical to the
+scalar call at that point.  Every operation is elementwise, so a route gives
+the same values on a grid as on any split of it into blocks, and its memory
+is O(len(xs)) whatever the term count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .ternary import DigitSeq, _ternary_order
+from .ternary import DigitSeq, _digits, _ternary_order
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50  # the Takagi series: tail <= 2**-50
@@ -43,6 +44,7 @@ _ITERATIVE_CAP = 3**12 + 1
 # 2**28 (a = 1/10**1539, level 8) held 40 MB and took 0.5 s on one core
 _ITERATIVE_BITS = 2**28
 _SAMPLES_CAP = 10**6  # points of sample_grid
+_LIMB_MASK = 2**60 - 1  # okamoto_series_array holds x * 2**120 in two limbs
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,9 @@ def kobayashi_truncation(a: float, terms: int = TERNARY_TERMS) -> SeriesTruncati
 
 
 def kobayashi_terms_for(a: float, target: float) -> int:
-    """Smallest term count whose tail bound is <= target."""
+    """Smallest term count whose tail bound is <= target; target must be > 0."""
+    if not target > 0:
+        raise DomainError(f"target={target} must be > 0")
     n = TERNARY_TERMS
     while kobayashi_truncation(a, n).tail_bound > target:
         n += max(8, n // 4)
@@ -223,7 +227,7 @@ def lebesgue_L_array(a: float, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the one-parameter family F_a, three routes
+# the one-parameter family F_a, two routes
 
 
 @dataclass(frozen=True)
@@ -305,81 +309,58 @@ def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
     return PiecewiseLinear(level, a, tuple(nums), q**level)
 
 
-def _float_digits(x: float, n: int) -> list[int]:
-    """First n ternary digits of a float in [0, 1]; x = 1.0 yields all 2's."""
-    digits = []
-    y = x
-    for _ in range(n):
-        y3 = 3 * y
-        d = min(2, math.floor(y3))
-        digits.append(d)
-        y = y3 - d
-    return digits
-
-
 def okamoto_series(
     a: float,
-    x: float,
+    x: float | Fraction,
     trunc: SeriesTruncation | None = None,
 ) -> float:
-    """Digit-product series for F_a(x); error <= trunc.tail_bound."""
+    """Digit-product series for F_a(x); error <= trunc.tail_bound.
+
+    The digits are those of the exact value of x, a float or a Fraction,
+    divided out of ``x.as_integer_ratio()``; x = 1 takes the all-2's expansion.
+    """
     _check_a(a)
     _check_point(x)
     terms = trunc.terms if trunc else TERNARY_TERMS
     p = (a, 1 - 2 * a, a)
     q = (0.0, a, 1 - a)
+    r, s = x.as_integer_ratio()
     total = 0.0
     prod = 1.0
-    for d in _float_digits(float(x), terms):
+    for d in b"\2" * terms if r == s else _digits(r, s, terms):
         total += prod * q[d]
         prod *= p[d]
     return total
 
 
 def okamoto_series_array(a: float, xs) -> np.ndarray:
-    """Float-digit ``okamoto_series`` at every point of xs, bit-identical."""
+    """``okamoto_series`` at every point of xs, bit-identical to the scalar route.
+
+    For a double x >= 2**-64, x * 2**120 is an integer below 2**120, held in
+    two 60-bit uint64 limbs; each step triples them, and the carry out of the
+    top limb is the digit.  Below 2**-64 < 3**-40 the 40 digits are 0, and 1.0
+    is held as 1 - 2**-120, whose first 75 digits are 2.
+    """
     _check_a(a)
     p = np.array((a, 1 - 2 * a, a))
     q = np.array((0.0, a, 1 - a))
-    y = _unit_array(xs)
-    total = np.zeros_like(y)
-    prod = np.ones_like(y)
+    x = _unit_array(xs)
+    frac, top = np.modf(x * 2.0**60)  # both exact
+    hi = top.astype(np.uint64)
+    lo = np.where(x >= 2.0**-64, frac * 2.0**60, 0.0).astype(np.uint64)
+    hi[x == 1] = lo[x == 1] = _LIMB_MASK
+    total = np.zeros_like(x)
+    prod = np.ones_like(x)
     for _ in range(TERNARY_TERMS):
-        y3 = 3 * y
-        d = np.minimum(2.0, np.floor(y3))
-        y = y3 - d
-        k = d.astype(np.intp)
-        total += prod * q[k]
-        prod *= p[k]
+        lo *= 3
+        hi *= 3
+        hi += lo >> 60
+        lo &= _LIMB_MASK
+        d = (hi >> 60).view(np.int64)  # the carry: 0, 1 or 2
+        hi &= _LIMB_MASK
+        total += prod * q.take(d)
+        prod *= p.take(d)
     return total
-
-
-def okamoto_fe(a: float, x: float, depth: int = TERNARY_TERMS) -> float:
-    """F_a via its three-branch functional equation, ``depth`` levels deep.
-
-    Branch ties go to the leftmost branch; the base case closes with the
-    level-0 interpolant f_0(x) = x pushed through the accumulated affine
-    map, so the error is <= max(a, 1-a)**depth.  Steps stay in [0, 1]:
-    fl(3 * fl(1/3)) = 1, fl(3 * fl(2/3)) = 2, and subtractions are exact.
-    """
-    _check_a(a)
-    _check_point(x)
-    shift = 0.0
-    scale = 1.0
-    t = x
-    for _ in range(depth):
-        if t <= 1 / 3:
-            scale *= a
-            t = 3 * t
-        elif t <= 2 / 3:
-            shift += scale * a
-            scale *= 1 - 2 * a
-            t = 3 * t - 1
-        else:
-            shift += scale * (1 - a)
-            scale *= a
-            t = 3 * t - 2
-    return shift + scale * t
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +473,8 @@ def dFa_da_fd(a: float, x: float, h: float) -> float:
 
     At a = 1/3 this converges to K(x) as h -> 0.
     """
+    if not h > 0:
+        raise DomainError(f"step h={h} must be > 0")
     if not (0 < a - h and a + h < 1):
         raise DomainError("a +- h must stay inside (0, 1)")
     n = max(kobayashi_terms_for(a + h, 1e-14), kobayashi_terms_for(a - h, 1e-14))

@@ -1,11 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own code paths: digits
-come from plain long division, crossing probabilities from exhaustive
-enumeration, entropy values from mpmath high-precision arithmetic, the
-subdivision graph from Fraction arithmetic, walks from numpy doubles,
-csv/svg text from one f-string per point, and json text from the standard
-library's indent encoder.
+come from plain long division, F_a from a digit sum in integer fixed point,
+crossing probabilities from exhaustive enumeration, entropy values from
+mpmath high-precision arithmetic, the subdivision graph from Fraction
+arithmetic, walks from numpy doubles, csv/svg text from one f-string per
+point, and json text from the standard library's indent encoder.
 """
 
 from __future__ import annotations
@@ -30,6 +30,39 @@ def naive_ternary_digits(x: Fraction, n: int) -> list[int]:
         digits.append(d)
         y -= d
     return digits
+
+
+OKAMOTO_TARGET = 1e-17  # bound on the terms okamoto_value leaves out
+OKAMOTO_BITS = 192  # fixed-point bits of okamoto_value's sum
+
+
+def okamoto_value(a: float, x) -> float:
+    """F_a(x) to within ``OKAMOTO_TARGET``, by its digit-product series on integers.
+
+    F_a(x) is the sum over n of q(d_n) * p(d_1) ... p(d_(n-1)), with
+    p = (a, 1-2a, a) and q = (0, a, 1-a), over the ternary digits of x.
+    a = an / 2^e and x = num / den come from ``as_integer_ratio``; each digit
+    is min(2, 3 num // den) with the remainder 3 num - d den, so x = 1 keeps
+    num = den and reads 2's forever.  The sum runs in fixed point with
+    2^-OKAMOTO_BITS resolution, each product truncated, and stops once the
+    terms left add up to at most the target: term n is at most
+    max(a, 1-a) r^(n-1), r = max(a, |1-2a|).
+    """
+    an, ad = a.as_integer_ratio()
+    shift = ad.bit_length() - 1  # a float's denominator is a power of 2
+    p = (an, ad - 2 * an, an)
+    q = (0, an, ad - an)
+    r = max(a, abs(1 - 2 * a))
+    rest = max(a, 1 - a) / (1 - r)
+    num, den = x.as_integer_ratio()
+    total, prod = 0, 1 << OKAMOTO_BITS
+    while rest > OKAMOTO_TARGET:
+        d = min(2, 3 * num // den)
+        num = 3 * num - d * den
+        total += q[d] * prod >> shift
+        prod = p[d] * prod >> shift
+        rest *= r
+    return total / (1 << OKAMOTO_BITS)
 
 
 def crossing_probability_enum(horizon: int) -> float:

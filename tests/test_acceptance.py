@@ -35,12 +35,13 @@ from okamoto_k.functions import (
     k_series_phi,
     kobayashi_terms_for,
     kobayashi_truncation,
-    okamoto_fe,
     okamoto_iterative,
     okamoto_series,
     takagi,
 )
 from okamoto_k.ternary import expand_rational, walk_value
+
+from oracles import okamoto_value
 
 # frozen from crossing_probability_dp(10_000); the DP is re-run below to
 # guard the constant
@@ -69,16 +70,14 @@ def test_criterion_01_exact_values():
 def test_criterion_02_evaluator_agreement():
     start = time.perf_counter()
     rnd = random.Random(20240817)
-    worst_sf = 0.0
+    worst_se = 0.0
     for _ in range(10_000):
         a = 0.1 + 0.8 * rnd.random()
         x = rnd.random()
         terms = kobayashi_terms_for(a, 5e-10)
-        depth = max(40, math.ceil(math.log(5e-10) / math.log(max(a, 1 - a))))
         series = okamoto_series(a, x, kobayashi_truncation(a, terms))
-        fe = okamoto_fe(a, x, depth)
-        worst_sf = max(worst_sf, abs(series - fe))
-    assert worst_sf <= 1e-9
+        worst_se = max(worst_se, abs(series - okamoto_value(a, x)))
+    assert worst_se <= 1e-9
 
     # exact subdivision route: compare at its own (coarser) tail bound
     worst_it = 0.0
@@ -104,7 +103,7 @@ def test_criterion_02_evaluator_agreement():
     assert elapsed < 30.0
     report(
         2,
-        f"evaluator agreement: series-vs-fe {worst_sf:.2e}, "
+        f"evaluator agreement: series-vs-exact-digits {worst_se:.2e}, "
         f"K digit-vs-sawtooth {worst_k:.2e} ({elapsed:.1f}s)",
     )
 

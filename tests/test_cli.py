@@ -586,6 +586,16 @@ class TestExperiment:
         fitted = doc["results"]["fitted_dimension"]
         assert abs(fitted - doc["results"]["closed_form"]) < 0.08
 
+    def test_box_dim_at_an_a_below_the_least_double(self, capsys):
+        # float(1e-4000) is 0.0; the closed form reads the exact a
+        code, out, err = run(
+            capsys, "experiment", "box-dim", "--a", "1e-4000", "--levels", "4"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["params"]["a"] == "1/1" + "0" * 4000
+        assert doc["results"]["closed_form"] == 1.0
+
     def test_walk_mc_report(self, capsys):
         code, out, _ = run(
             capsys,

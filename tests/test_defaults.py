@@ -18,8 +18,6 @@ KEPT = {
     # dFa_da_fd and criterion 02 pass their own term counts
     ("functions", "kobayashi_truncation", "terms"),
     ("functions", "okamoto_series", "trunc"),
-    # criterion 02 varies the depth with a
-    ("functions", "okamoto_fe", "depth"),
 }
 
 

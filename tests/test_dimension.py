@@ -41,6 +41,16 @@ class TestBoxDimensionFormula:
     def test_domain(self):
         with pytest.raises(DomainError):
             box_dimension_formula(0.0)
+        with pytest.raises(DomainError):
+            box_dimension_formula(Fraction(1))
+
+    def test_exact_parameter_beyond_float_range(self):
+        # 1e-4000 is 0.0 as a float, and 1 - 1e-4000 is 1.0: both lie in (0, 1)
+        tiny = Fraction(1, 10**4000)
+        assert box_dimension_formula(tiny) == 1.0
+        assert box_dimension_formula(Fraction(1, 2) + tiny) == 1.0
+        assert box_dimension_formula(1 - tiny) == 2.0
+        assert box_dimension_formula(Fraction(2, 3)) == box_dimension_formula(2 / 3)
 
 
 class TestBoxDimensionEstimate:

@@ -26,7 +26,6 @@ from okamoto_k.functions import (
     kobayashi_truncation,
     lebesgue_L,
     lebesgue_L_array,
-    okamoto_fe,
     okamoto_iterative,
     okamoto_series,
     okamoto_series_array,
@@ -41,11 +40,35 @@ from okamoto_k.ternary import expand_rational
 from oracles import (
     big_phi_exact,
     naive_ternary_digits,
+    okamoto_value,
     subdivision_fractions,
     takagi_quadrature_free,
 )
 
 ternary_rationals = st.integers(0, 3**12).map(lambda k: Fraction(k, 3**12))
+
+# the floats nearest k / 3^m, m <= 6, and their two neighbours in [0, 1]
+NEAR_TERNARY = sorted(
+    {
+        v
+        for k in range(3**6 + 1)
+        for v in (math.nextafter(k / 3**6, 0), k / 3**6, math.nextafter(k / 3**6, 2))
+        if v <= 1
+    }
+)
+
+
+def _stated_error(a: float, value: float) -> float:
+    """The 40-term series' tail bound at a plus the rounding of its float sum.
+
+    Summing N terms whose absolute values add up to at most S rounds by at
+    most about N * eps * S; twice that covers the products, and eps * |value|
+    the rounding of the exact-digit reference.
+    """
+    eps = 2.0**-52
+    total = max(a, 1 - a) / (1 - functions.contraction_ratio(a))
+    tail = kobayashi_truncation(a).tail_bound
+    return tail + 2 * TERNARY_TERMS * eps * total + eps * abs(value)
 
 
 class TestBuildingBlocks:
@@ -202,20 +225,26 @@ class TestOkamotoEvaluators:
         assert kobayashi_truncation(a).terms == TERNARY_TERMS
 
     def test_series_at_breakpoints(self):
+        # exact at the rationals 1/3 and 2/3, whose digits are 1000... and
+        # 2000...; the floats nearest them lie below, where F_a is not a or 1 - a
         for a in (0.25, 0.6):
-            assert okamoto_series(a, 1 / 3) == pytest.approx(a, abs=1e-12)
-            assert okamoto_series(a, 2 / 3) == pytest.approx(1 - a, abs=1e-12)
+            assert okamoto_series(a, Fraction(1, 3)) == pytest.approx(a, abs=1e-12)
+            assert okamoto_series(a, Fraction(2, 3)) == pytest.approx(1 - a, abs=1e-12)
+            for x in (1 / 3, 2 / 3):
+                want = okamoto_value(a, x)
+                assert abs(okamoto_series(a, x) - want) <= _stated_error(a, want)
 
     def test_identity_parameter(self):
         for x in (0.0, 0.7, 1.0):
             assert okamoto_series(1 / 3, x) == pytest.approx(x, abs=1e-12)
 
-    def test_fe_endpoints(self):
-        assert okamoto_fe(0.4, 0.0) == 0.0
-        assert okamoto_fe(0.4, 1.0) == pytest.approx(1.0, abs=1e-12)
+    def test_series_endpoints(self):
+        assert okamoto_series(0.4, 0.0) == 0.0
+        assert okamoto_series(0.4, -0.0) == 0.0
+        assert okamoto_series(0.4, 1.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_fe_cantor_staircase_value(self):
-        assert okamoto_fe(0.5, 1 / 3) == pytest.approx(0.5, abs=1e-12)
+    def test_series_cantor_staircase_value(self):
+        assert okamoto_series(0.5, Fraction(1, 3)) == pytest.approx(0.5, abs=1e-12)
 
     def test_branch_overlap_consistent(self):
         # both defining branches agree at the shared breakpoints
@@ -224,6 +253,28 @@ class TestOkamotoEvaluators:
             assert a * f(1.0) == pytest.approx((1 - 2 * a) * f(0.0) + a)
             assert (1 - 2 * a) * f(1.0) + a == pytest.approx(a * f(0.0) + 1 - a)
 
+    @pytest.mark.parametrize("a", [0.3, 0.7, 0.85, 0.9])
+    def test_series_within_stated_bound(self, a):
+        # the floats next to k / 3^m, whose digits a float step gets wrong
+        # first, and random floats, against the exact-digit sum
+        rnd = random.Random(7)
+        xs = NEAR_TERNARY + [rnd.random() for _ in range(1000)]
+        want = [okamoto_value(a, x) for x in xs]
+        tol = [_stated_error(a, w) for w in want]
+        for route in (
+            [okamoto_series(a, x) for x in xs],
+            okamoto_series_array(a, np.array(xs)).tolist(),
+        ):
+            over = [x for x, v, w, t in zip(xs, route, want, tol) if abs(v - w) > t]
+            assert over == []
+
+    @pytest.mark.parametrize("target", [0.0, -1e-14, -math.inf, math.nan])
+    def test_terms_for_needs_a_positive_target(self, target):
+        # the tail bound underflows to 0.0 but no lower, and never compares
+        # above NaN
+        with pytest.raises(DomainError, match=f"target={target} must be > 0"):
+            kobayashi_terms_for(0.7, target)
+
     @given(
         st.floats(0.15, 0.85),
         st.floats(0, 1, allow_nan=False),
@@ -231,10 +282,8 @@ class TestOkamotoEvaluators:
     @settings(max_examples=200, deadline=None)
     def test_three_routes_agree(self, a, x):
         terms = kobayashi_terms_for(a, 1e-11)
-        depth = max(40, math.ceil(math.log(1e-11) / math.log(max(a, 1 - a))))
         series = okamoto_series(a, x, kobayashi_truncation(a, terms))
-        fe = okamoto_fe(a, x, depth)
-        assert abs(series - fe) <= 2e-11
+        assert abs(series - okamoto_value(a, x)) <= 2e-11
         ar = Fraction(a).limit_denominator(50)
         pl = okamoto_iterative(ar, 6)
         same_a_series = okamoto_series(float(ar), x, kobayashi_truncation(float(ar), terms))
@@ -329,6 +378,12 @@ class TestParameterDerivative:
         assert dFa_da_fd(1 / 3, 0.5, 1e-5) == pytest.approx(0.0, abs=1e-4)
         assert dFa_da_fd(1 / 3, 2 / 3, 1e-5) == pytest.approx(-1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("h", [0.0, -0.0, -1e-6, math.nan])
+    def test_needs_a_positive_step(self, h):
+        # the difference quotient divides by 2h
+        with pytest.raises(DomainError, match=f"step h={h} must be > 0"):
+            dFa_da_fd(1 / 3, 0.5, h)
+
 
 def _twins(array_route, scalar_route, *args, **kwargs):
     return partial(array_route, *args, **kwargs), partial(scalar_route, *args, **kwargs)
@@ -386,11 +441,13 @@ def _uniform_bit_patterns(n: int, seed: int) -> np.ndarray:
 
 # bit-pattern draws plus the largest double below 1, the least subnormal,
 # -0.0 and 0.5 with its two neighbours, where the steps z - floor(z) and
-# z % 1.0 of the array and scalar routes meet their edge cases
+# z % 1.0 of the array and scalar routes meet their edge cases, and 2**-64
+# with its lower neighbour, the least double okamoto holds in limbs and the
+# greatest it reads as 40 zero digits
 BIT_PATTERNS = np.concatenate(
     [
         _uniform_bit_patterns(10**4, seed=31),
-        [1 - 2**-53, 5e-324, -0.0],
+        [1 - 2**-53, 5e-324, -0.0, 2**-64, math.nextafter(2**-64, 0)],
         [math.nextafter(0.5, 0), 0.5, math.nextafter(0.5, 1)],
     ]
 )
@@ -404,8 +461,10 @@ class TestArrayRoutes:
     @pytest.mark.parametrize(
         "xs",
         [sample_grid(n) for n in (2, 3, 1001, 3**7 + 1)]
-        + [np.array(NEAR_TIES), np.array(NEAR_DYADICS), BIT_PATTERNS],
-        ids=["n2", "n3", "n1001", "n2188", "near-ties", "near-dyadics", "bit-patterns"],
+        + [np.array(NEAR_TIES), np.array(NEAR_DYADICS), BIT_PATTERNS]
+        + [np.array(NEAR_TERNARY)],
+        ids=["n2", "n3", "n1001", "n2188", "near-ties", "near-dyadics", "bit-patterns"]
+        + ["near-ternary"],
     )
     @pytest.mark.parametrize("name", sorted(TWINS))
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
