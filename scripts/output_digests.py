@@ -112,6 +112,8 @@ CAP = [
     "experiment sigma-fuzz --trials 1000001",
     "experiment hata-yamaguti --grid 1000000",
     "classify 1/1000000007",
+    # a period over the cap, of a rational too long to print in the message
+    "classify 1e-4000",
     # more decimal digits than Python writes as text
     "classify 1e-5000",
     "construct --a 1e-5000 --level 1",

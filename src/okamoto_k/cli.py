@@ -16,7 +16,8 @@ layout that ``json.dumps`` gives with an indent of 2, with each list of
 scalars written by one call of the C encoder, and the digits of a
 ``classify`` expansion, which come as bytes, by one ``bytes.translate``.
 ``eval`` formats its points a block at a time in the same layout, after a
-head from ``_json_doc``.
+head from ``_json_doc``.  numpy is imported only where it computes, so
+``classify``, ``construct --format json`` and usage errors never load it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache, partial
-
-import numpy as np
 
 from .derivative import classification_report, sigma_fuzz
 from .dimension import (
@@ -59,7 +58,7 @@ _POINT_BLOCK = 8192  # grid points that eval evaluates and formats at a time
 _TERMS_CAP = 1000  # K's weight 3^-n is 0.0 from term 680 on
 _DEFAULT_A = 1 / 3  # --a when not given, and eval's json "a" for every --fn
 
-Blocks = Iterable[tuple[np.ndarray, np.ndarray]]  # (xs, values) slices of a grid
+Blocks = Iterable[tuple["np.ndarray", "np.ndarray"]]  # (xs, values) slices of a grid
 
 
 def _check_decimal_digits(n: int, what: str) -> None:
@@ -109,6 +108,7 @@ def _format_block(line: str, sep: str, xb: np.ndarray, vb: np.ndarray) -> str:
     One ``%`` on the interleaved floats formats each of them with the same
     conversion as an f-string's format spec, without a Python-level loop.
     """
+    import numpy as np
     flat = np.column_stack((xb, vb)).ravel().tolist()
     return sep.join([line] * len(xb)) % tuple(flat)
 
@@ -295,6 +295,7 @@ def _cmd_construct(args) -> str:
                 "ordinates": [_reduced(n, ord_den) for n in pl.numerators],
             }
         )
+    import numpy as np
     xs = np.arange(denom + 1) / denom  # k / denom: k and denom are exact doubles
     # n / ord_den is correctly rounded on big ints: float(Fraction(n, ord_den))
     ys = np.array([n / ord_den for n in pl.numerators])

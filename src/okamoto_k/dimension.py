@@ -3,7 +3,8 @@
 Closed-form and box-counted graph dimension of the family members, the
 entropy formula for digit-frequency sets, the mean-zero walk Monte Carlo
 behind the measure-zero result, and the cubic-root solve for the
-differentiability trichotomy boundary.
+differentiability trichotomy boundary.  numpy is imported when called, by
+each function that computes with it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .functions import _check_a, okamoto_iterative
@@ -72,6 +71,7 @@ def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
             col = nums[i * step : (i + 1) * step + 1]
             total += max(col) * scale // den - min(col) * scale // den + 1
         counts.append(total)
+    import numpy as np
     xs = np.array([j * LN3 for j in fit_levels])
     ys = np.array([math.log(counts[j - 1]) for j in fit_levels])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -134,7 +134,7 @@ class WalkExperiment:
 
 # u = (raw >> 11) * 2**-53 is numpy's Philox double, so u < 1/3 exactly when
 # raw < ceil((1/3) * 2**53) << 11 (the product is exact in floats)
-_DOWN_RAW = np.uint64(math.ceil((1.0 / 3.0) * 2.0**53) << 11)
+_DOWN_RAW = math.ceil((1.0 / 3.0) * 2.0**53) << 11
 _WALK_PREFIX = 256  # steps checked for a crossing before the whole path
 _WALK_HORIZON_CAP = 10**7  # steps per path: about 80 MB of draws
 _WALK_SAMPLES_CAP = 10**6  # paths per run
@@ -147,6 +147,7 @@ def _check_seed(seed: int) -> None:
 
 
 def _crosses(down: np.ndarray) -> bool:
+    import numpy as np
     walk = np.cumsum(np.where(down, -2, 1))
     return walk.min() <= 0 <= walk.max()
 
@@ -181,6 +182,7 @@ def walk_monte_carlo(samples: int, horizon: int, seed: int) -> WalkExperiment:
         raise ResourceLimitError(
             f"samples {samples} exceeds cap of {_WALK_SAMPLES_CAP} paths"
         )
+    import numpy as np
     # one bit generator, reset per path to the state of a fresh
     # Philox(key=(seed << 64) + i): zero counter, empty buffer, key words
     # (low, high) = (i, seed)
@@ -214,6 +216,7 @@ def crossing_probability_dp(horizon: int) -> float:
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    import numpy as np
     up, down = 2.0 / 3.0, 1.0 / 3.0
     # survive positive: state = W value >= 1
     pos = np.zeros(horizon + 3)

@@ -20,7 +20,8 @@ the same order (branches become ``np.where`` selects, and okamoto's exact
 digits come from integer limbs), so each element is bit-identical to the
 scalar call at that point.  Every operation is elementwise, so a route gives
 the same values on a grid as on any split of it into blocks, and its memory
-is O(len(xs)) whatever the term count.
+is O(len(xs)) whatever the term count.  Each function that computes with
+numpy imports it when called, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .ternary import DigitSeq, _digits, _ternary_order
@@ -122,6 +121,7 @@ def _check_point(x) -> None:
 
 def _unit_array(xs) -> np.ndarray:
     """xs as a float64 array, checked to lie in [0, 1]."""
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0) & (xs <= 1)):
         raise DomainError("point outside [0, 1]")
@@ -177,6 +177,7 @@ def takagi_array(xs) -> np.ndarray:
     ``z = 2`` and at ``z = -0.0`` both are +0.0.  ``np.floor`` costs a
     fraction of ``np.remainder``.
     """
+    import numpy as np
     y = _unit_array(xs)
     total = np.zeros_like(y)
     w = 1.0
@@ -214,6 +215,7 @@ def lebesgue_L(a: float, x: float) -> float:
 
 def lebesgue_L_array(a: float, xs) -> np.ndarray:
     """``lebesgue_L`` at every point of xs, bit-identical to the scalar route."""
+    import numpy as np
     _check_a(a)
     t = _unit_array(xs)
     shift = np.zeros_like(t)
@@ -341,6 +343,7 @@ def okamoto_series_array(a: float, xs) -> np.ndarray:
     top limb is the digit.  Below 2**-64 < 3**-40 the 40 digits are 0, and 1.0
     is held as 1 - 2**-120, whose first 75 digits are 2.
     """
+    import numpy as np
     _check_a(a)
     p = np.array((a, 1 - 2 * a, a))
     q = np.array((0.0, a, 1 - a))
@@ -391,6 +394,7 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
     ``z = 3``, which ``x = 1.0`` reaches, and at ``z = -0.0`` both are
     +0.0.  ``np.floor`` costs a fraction of ``np.remainder``.
     """
+    import numpy as np
     y = _unit_array(xs)
     total = np.zeros_like(y)
     w = 1.0
@@ -487,6 +491,7 @@ def hata_yamaguti_residual(grid: int, h: float) -> float:
     """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|, step h > 0."""
     if not h > 0:
         raise DomainError(f"step h={h} must be > 0")
+    import numpy as np
     xs = sample_grid(grid + 1)
     hi = lebesgue_L_array(0.5 + h, xs)
     lo = lebesgue_L_array(0.5 - h, xs)
@@ -500,4 +505,5 @@ def sample_grid(n: int) -> np.ndarray:
         raise DomainError("need at least 2 grid points")
     if n > _SAMPLES_CAP:
         raise ResourceLimitError(f"{n} samples exceed cap of {_SAMPLES_CAP}")
+    import numpy as np
     return np.arange(n) / (n - 1)

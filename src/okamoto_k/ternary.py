@@ -144,7 +144,7 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
     a residue prime to q', which each digit triples, so it first returns
     after L = ord_q'(3) digits, and exactly s + L digits are made.
     A period over ``_PERIOD_CAP`` digits raises ResourceLimitError before
-    any digit is made.
+    any digit is made; past 100 bits of q its message gives q's size, not x.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -154,7 +154,11 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
     s, rest = _split_threes(x.denominator)
     length = _period_length(rest)
     if length is None:
-        raise ResourceLimitError(f"period of {x} exceeds cap of {_PERIOD_CAP} digits")
+        bits = x.denominator.bit_length()  # str of a long x would fill the message
+        what = x if bits <= 100 else f"x with a {bits}-bit denominator"
+        raise ResourceLimitError(
+            f"period of {what} exceeds cap of {_PERIOD_CAP} digits"
+        )
     digits = _digits(x.numerator, x.denominator, s + length)
     return DigitSeq(digits[:s], digits[s:], x)
 

@@ -477,6 +477,36 @@ class TestClassify:
         assert exc.value.code == 2
 
 
+def test_numpy_is_imported_only_by_the_commands_that_use_it(tmp_path):
+    # in a child process, whose sys.modules the tests' own imports leave alone;
+    # it prints whether numpy is loaded after each step, and each exit code
+    src = str(Path(okamoto_k.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    calls = [
+        ["classify", "1/4"],
+        ["construct", "--a", "2/5", "--level", "3", "--format", "json"],
+        ["eval", "--fn", "K", "--samples", "3"],  # the control: numpy is seen
+    ]
+    script = f"""
+import sys
+import okamoto_k
+print("numpy" in sys.modules)
+from okamoto_k.cli import main
+print("numpy" in sys.modules)
+for argv in {calls!r}:
+    print(main(argv + ["--output", {str(tmp_path / "out")!r}]), "numpy" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "False", "0 False", "0 False", "0 True"]
+
+
 @pytest.mark.parametrize("text", ["1e-4300", "-1e4300"])
 def test_rational_past_the_text_digit_limit(text):
     # 10**4299 has the 4300 digits that Python writes as text, 10**4300 one more
@@ -685,6 +715,9 @@ class TestOutputHandling:
              "need at least 2 grid points"),
             (["classify", "1/1000000007"], 4,
              "period of 1/1000000007 exceeds cap of 1000000 digits"),
+            # 1/10**4000: the message gives the size of q, not its 4001 digits
+            (["classify", "1e-4000"], 4,
+             "period of x with a 13288-bit denominator exceeds cap of 1000000 digits"),
             (["experiment", "hata-yamaguti", "--step", "0"], 3, "step h=0.0 must be > 0"),
             (["classify", "1e-5000"], 4,
              "'1e-5000' as p/q has more than 4300 decimal digits"),
@@ -697,6 +730,7 @@ class TestOutputHandling:
         ids=["eval", "construct", "classify", "box-dim", "walk-mc", "walk-mc-samples-cap",
              "sigma-fuzz", "sigma-fuzz-no-trials", "sigma-fuzz-negative-trials",
              "sigma-fuzz-trials-cap", "hata-yamaguti", "classify-period-cap",
+             "classify-long-period-cap",
              "hata-yamaguti-zero-step", "classify-long-rational",
              "construct-numerator-bits", "unwritable-output"],
     )

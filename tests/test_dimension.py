@@ -169,7 +169,7 @@ class TestWalkMonteCarlo:
             def random_raw(self, size):
                 return words[:size]
 
-        monkeypatch.setattr(dimension.np.random, "Philox", Words)
+        monkeypatch.setattr(np.random, "Philox", Words)
         down = (words >> 11) * 2.0**-53 < 1 / 3
         assert down.tolist() == [True, True, False, False] * 3
         steps = np.where(down, -2, 1)

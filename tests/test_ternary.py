@@ -110,6 +110,17 @@ class TestExpandRational:
         with pytest.raises(ResourceLimitError):
             expand_rational(Fraction(1, 1019))  # period 509
 
+    def test_period_cap_message_names_a_long_x_by_its_size(self, monkeypatch):
+        # 3 has order 2**(b - 2) modulo 2**b, b >= 3: over the cap from b = 11 on
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", 500)
+        with pytest.raises(ResourceLimitError, match=f"^period of 1/{2**99} exceeds"):
+            expand_rational(Fraction(1, 2**99))  # a 100-bit denominator
+        with pytest.raises(ResourceLimitError) as exc:
+            expand_rational(Fraction(2**100 - 1, 2**100))
+        assert str(exc.value) == (
+            "period of x with a 101-bit denominator exceeds cap of 500 digits"
+        )
+
     @pytest.mark.parametrize(
         "q,length",
         # periods on either side of a multiple of the 8-digit group
