@@ -45,6 +45,8 @@ EXPERIMENTS = [
     "experiment sigma-fuzz --trials 300 --seed 1",
     "experiment hata-yamaguti --step 1e-5 --grid 7",
     "experiment box-dim --a 1e-4000 --levels 4",  # 0.0 as a float
+    "experiment box-dim --levels 11",
+    "experiment box-dim --a 2/3 --levels 12",
 ]
 CLASSIFY = [
     f"classify {x}"
@@ -100,9 +102,13 @@ DOMAIN = [
     "experiment hata-yamaguti --grid 0",
     "experiment hata-yamaguti --step 0",
     "experiment hata-yamaguti --step=-1e-6",
+    # out of range, and too long to print in the message
+    "classify 1e4000",
+    "construct --a 1e4000 --level 1",
+    "experiment box-dim --a 1e4000",
 ]
 CAP = [
-    "experiment box-dim --levels 11",
+    "experiment box-dim --levels 13",
     "construct --a 2/5 --level 13",
     "eval --fn K --samples 2000000",
     "eval --fn K --terms 1001",

@@ -18,7 +18,6 @@ from .functions import _check_a, okamoto_iterative
 
 LN3 = math.log(3.0)
 _FIT_MIN_LEVEL = 3  # box levels below this are boundary-dominated
-_BOX_LEVEL_CAP = 10  # finest box level: 3**10 + 1 breakpoints
 
 
 def box_dimension_formula(a: Fraction | float) -> float:
@@ -43,34 +42,27 @@ class BoxCountResult:
 def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
     """Count 3^-j boxes meeting the exact level-max_level graph, j = 1..max_level.
 
-    Columns align with the subdivision breakpoints, so the column extremes
-    of the piecewise-linear graph are exact ordinate min/max; a box is
-    counted whenever the closed box meets the graph.  The counts run on the
-    graph's integer numerators n / den: a column meets the boxes from
-    min(n) * 3^j // den to max(n) * 3^j // den.  The dimension is the
+    Each piece y -> a*y, a + (1-2a)*y, (1-a) + a*y maps [0, 1] into [0, 1],
+    so every f_m maps [0, 1] onto [0, 1], and on a level-j column with word
+    w, f_n = S_w + P_w * f_(n-j) runs between the column's end ordinates;
+    the closed boxes met number 3^j + sum_i |floor(3^j y_(i+1)) -
+    floor(3^j y_i)| over the level-j ordinates y_i.  The dimension is the
     slope of log N against log 3^j over levels ``_FIT_MIN_LEVEL`` = 3 to
-    max_level (the coarsest scales are excluded as boundary-dominated).
-    Raises DomainError when fewer than two levels are left to fit, and
-    ResourceLimitError for max_level above ``_BOX_LEVEL_CAP`` = 10.
+    max_level.  Raises DomainError when fewer than two levels are left to
+    fit; ``okamoto_iterative`` caps max_level.
     """
     fit_levels = tuple(range(_FIT_MIN_LEVEL, max_level + 1))
     if len(fit_levels) < 2:
         raise DomainError(
             f"levels {_FIT_MIN_LEVEL}..{max_level} leave fewer than two to fit"
         )
-    if max_level > _BOX_LEVEL_CAP:
-        raise ResourceLimitError(f"max_level {max_level} exceeds cap {_BOX_LEVEL_CAP}")
     pl = okamoto_iterative(Fraction(a), max_level)
     nums, den = pl.numerators, pl.denominator
     counts = []
     for j in range(1, max_level + 1):
-        step = 3 ** (max_level - j)
         scale = 3**j
-        total = 0
-        for i in range(scale):
-            col = nums[i * step : (i + 1) * step + 1]
-            total += max(col) * scale // den - min(col) * scale // den + 1
-        counts.append(total)
+        rows = [n * scale // den for n in nums[:: 3 ** (max_level - j)]]
+        counts.append(scale + sum(abs(hi - lo) for lo, hi in zip(rows, rows[1:])))
     import numpy as np
     xs = np.array([j * LN3 for j in fit_levels])
     ys = np.array([math.log(counts[j - 1]) for j in fit_levels])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .ternary import DigitSeq, _digits, _ternary_order
+from .ternary import DigitSeq, _check_point, _digits, _named, _ternary_order
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50  # the Takagi series: tail <= 2**-50
@@ -110,13 +110,7 @@ def kobayashi_terms_for(a: float, target: float) -> int:
 def _check_a(a) -> None:
     """Raise DomainError unless the parameter a lies in (0, 1)."""
     if not 0 < a < 1:
-        raise DomainError(f"parameter a={a} outside (0, 1)")
-
-
-def _check_point(x) -> None:
-    """Raise DomainError unless the point x lies in [0, 1]."""
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+        raise DomainError(f"parameter {_named(a, 'a', 'a={}')} outside (0, 1)")
 
 
 def _unit_array(xs) -> np.ndarray:

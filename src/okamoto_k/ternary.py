@@ -36,6 +36,23 @@ _LEAF = 512  # digits per int(text, 3); int_max_str_digits is never below 640
 _DIGIT_TEXT = bytes.maketrans(_DIGITS, b"012")  # digit -> numeral
 
 
+def _named(x, name: str, template: str) -> str:
+    """``template`` filled with x; an int or Fraction too long for an error message,
+    over 100 bits in numerator or denominator, is ``name`` and the longer's size."""
+    if isinstance(x, (int, Fraction)):
+        num, den = x.numerator.bit_length(), x.denominator.bit_length()
+        if max(num, den) > 100:
+            part, bits = ("numerator", num) if num > den else ("denominator", den)
+            return f"{name} with a {bits}-bit {part}"
+    return template.format(x)
+
+
+def _check_point(x) -> None:
+    """Raise DomainError unless the point x lies in [0, 1]."""
+    if not 0 <= x <= 1:
+        raise DomainError(f"{_named(x, 'x', '{}')} outside [0, 1]")
+
+
 def _digits(r: int, q: int, n: int) -> bytes:
     """The first n base-3 digits of r/q, 0 <= r < q, one byte per digit."""
     groups, scale = [], 3**_GROUP
@@ -75,7 +92,7 @@ def _ternary_order(x: Fraction) -> int:
     """m such that 3**m * x is an integer; error if no such m exists."""
     m, rest = _split_threes(x.denominator)
     if rest != 1:
-        raise DomainError(f"{x} is not a ternary rational")
+        raise DomainError(f"{_named(x, 'x', '{}')} is not a ternary rational")
     return m
 
 
@@ -142,22 +159,18 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
     With x = r/q in lowest terms and q = 3**s * q', 3 not dividing q', the
     preperiod is the first s digits.  The remainder after them is 3**s times
     a residue prime to q', which each digit triples, so it first returns
-    after L = ord_q'(3) digits, and exactly s + L digits are made.
-    A period over ``_PERIOD_CAP`` digits raises ResourceLimitError before
-    any digit is made; past 100 bits of q its message gives q's size, not x.
+    after L = ord_q'(3) digits, and exactly s + L digits are made, none
+    when L is over ``_PERIOD_CAP``, which raises ResourceLimitError.
     """
     x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise DomainError(f"{x} outside [0, 1]")
+    _check_point(x)
     if x == 1:
         return DigitSeq(b"", b"\2", x)
     s, rest = _split_threes(x.denominator)
     length = _period_length(rest)
     if length is None:
-        bits = x.denominator.bit_length()  # str of a long x would fill the message
-        what = x if bits <= 100 else f"x with a {bits}-bit denominator"
         raise ResourceLimitError(
-            f"period of {what} exceeds cap of {_PERIOD_CAP} digits"
+            f"period of {_named(x, 'x', '{}')} exceeds cap of {_PERIOD_CAP} digits"
         )
     digits = _digits(x.numerator, x.denominator, s + length)
     return DigitSeq(digits[:s], digits[s:], x)

@@ -520,6 +520,12 @@ def test_rational_past_the_text_digit_limit(text):
     [
         (["construct", "--a", "3/2", "--level", "1"], "parameter a=3/2 outside (0, 1)"),
         (["classify", "3/2"], "3/2 outside [0, 1]"),
+        # 10**4000: the message gives the size of the numerator, not its 4001 digits
+        (["classify", "1e4000"], "x with a 13288-bit numerator outside [0, 1]"),
+        (["construct", "--a", "1e4000", "--level", "1"],
+         "parameter a with a 13288-bit numerator outside (0, 1)"),
+        (["experiment", "box-dim", "--a", "1e4000"],
+         "parameter a with a 13288-bit numerator outside (0, 1)"),
     ],
 )
 def test_range_error_from_the_library(capsys, argv, message):
@@ -700,7 +706,8 @@ class TestOutputHandling:
             (["construct", "--a", "2/5", "--level", "13"], 4,
              "level 13 exceeds cap of 531442 breakpoints"),
             (["classify", "3/2"], 3, "3/2 outside [0, 1]"),
-            (["experiment", "box-dim", "--levels", "11"], 4, "max_level 11 exceeds cap 10"),
+            (["experiment", "box-dim", "--levels", "13"], 4,
+             "level 13 exceeds cap of 531442 breakpoints"),
             (["experiment", "walk-mc", "--samples", "2", "--seed", "-1"], 3,
              "seed -1 outside [0, 2**64)"),
             (["experiment", "walk-mc", "--samples", "1000001", "--horizon", "1"], 4,

@@ -43,6 +43,9 @@ class TestBoxDimensionFormula:
             box_dimension_formula(0.0)
         with pytest.raises(DomainError):
             box_dimension_formula(Fraction(1))
+        # an int too long to print is named by its size
+        with pytest.raises(DomainError, match="^parameter a with a 13288-bit numerator "):
+            box_dimension_formula(10**4000)
 
     def test_exact_parameter_beyond_float_range(self):
         # 1e-4000 is 0.0 as a float, and 1 - 1e-4000 is 1.0: both lie in (0, 1)
@@ -73,16 +76,23 @@ class TestBoxDimensionEstimate:
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
-            box_dimension_estimate(Fraction(2, 3), 11)
+            box_dimension_estimate(Fraction(2, 3), 13)
 
     @pytest.mark.parametrize(
         "a,levels",
-        [("2/3", 8), ("1/3", 6), ("1/2", 6), ("2/5", 6), ("5/6", 7), ("7/9", 5)],
+        [("2/3", 8), ("1/3", 6), ("1/2", 6), ("2/5", 6), ("5/6", 7), ("7/9", 5),
+         ("1/100", 6), ("99/100", 6), ("13/25", 7)],
     )
     def test_counts_match_fraction_count(self, a, levels):
         a = Fraction(a)
         want = box_counts_fractions(subdivision_fractions(a, levels), levels)
         assert list(box_dimension_estimate(a, levels).counts) == want
+
+    @pytest.mark.parametrize("a,levels,ratio", [("2/3", 12, 5), ("5/6", 10, 7)])
+    def test_counts_closed_form(self, a, levels, ratio):
+        # N_j = 3^j + (12a - 3)^j here, at levels too fine for the Fraction oracle
+        counts = box_dimension_estimate(Fraction(a), levels).counts
+        assert list(counts) == [3**j + ratio**j for j in range(1, levels + 1)]
 
 
 class TestHausdorffFrequencyDim:

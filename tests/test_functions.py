@@ -302,6 +302,9 @@ class TestKRoutes:
     def test_exact_rejects_non_ternary(self):
         with pytest.raises(DomainError):
             k_exact(Fraction(1, 2))
+        # the message gives the size of a long x, not its 4001 digits
+        with pytest.raises(DomainError, match="^x with a 13288-bit denominator is not a"):
+            k_exact(Fraction(1, 10**4000))
 
     @pytest.mark.parametrize("m", range(8))
     def test_exact_matches_fraction_sawtooth_sum(self, m):
