@@ -102,6 +102,8 @@ DOMAIN = [
     "experiment hata-yamaguti --grid 0",
     "experiment hata-yamaguti --step 0",
     "experiment hata-yamaguti --step=-1e-6",
+    "experiment hata-yamaguti --step 0.5",
+    "experiment hata-yamaguti --step inf",
     # out of range, and too long to print in the message
     "classify 1e4000",
     "construct --a 1e4000 --level 1",

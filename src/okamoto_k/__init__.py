@@ -4,7 +4,6 @@ classification of K's infinite-derivative points."""
 from .derivative import (
     DerivativeClass,
     DivergenceWitness,
-    SigmaDecomposition,
     billingsley_divergence_witness,
     classify_point,
     secant_slope,
@@ -12,7 +11,6 @@ from .derivative import (
 )
 from .dimension import (
     BoxCountResult,
-    FrequencyTriple,
     WalkExperiment,
     a0_root,
     box_dimension_estimate,

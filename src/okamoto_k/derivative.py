@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ProofCheckError, ResourceLimitError
 from .functions import _k_scaled, _k_terms, k_exact
-from .ternary import DigitSeq, _digits, _ternary_order
+from .ternary import DigitSeq, _digits
 from .ternary import expand_rational, walk_value
 
 _FUZZ_ORDER = 10  # sigma_fuzz draws pairs k / 3**m with m up to this order
@@ -68,7 +68,6 @@ def secant_slope(x: DigitSeq, n: int) -> Fraction:
 class DivergenceWitness:
     """Partial secant slopes certifying non-Cauchy difference quotients."""
 
-    x: DigitSeq
     partial_sums: tuple[Fraction, ...]
     differences: tuple[Fraction, ...]
     all_steps_valid: bool
@@ -86,56 +85,39 @@ def billingsley_divergence_witness(x: DigitSeq, n: int) -> DivergenceWitness:
     diffs = tuple(b - a for a, b in zip(sums, sums[1:]))
     first_ok = sums[0] in (3, -6)
     valid = first_ok and all(d in (3, -6) for d in diffs)
-    return DivergenceWitness(x, sums, diffs, valid)
+    return DivergenceWitness(sums, diffs, valid)
 
 
 # ---------------------------------------------------------------------------
 # the four-part decomposition of a difference quotient of K
 
 
-@dataclass(frozen=True)
-class SigmaDecomposition:
-    """Exact split of (K(x+h) - K(x)) / h into the four proof sums.
-
-    ``sigma1`` collects the levels where x and x+h share digits,
-    ``sigma2`` is the single crossing level, ``sigma3`` the forced-carry
-    levels, and ``sigma4`` the fine-scale tail.  ``sandwich_low/high``
-    bound the quotient in terms of the digit weight f(1, .) of x, with
-    constants depending on the case.
-    """
-
-    x: Fraction
-    h: Fraction
-    p: int
-    k0: int
-    case_tag: str
-    sigma1: Fraction
-    sigma2: Fraction
-    sigma3: Fraction
-    sigma4: Fraction
-    quotient: Fraction
-    sandwich_low: Fraction
-    sandwich_high: Fraction
-
-
-def _sigma_parts(
+def sigma_decompose(
     i: int, j: int, order: int
 ) -> tuple[int, int, str, int, int, int, int, int, int]:
     """The split of K's difference quotient at x = i / 3**order, h = j / 3**order.
 
     Returns (p, k0, case_tag, s1, s2, s3, s4, sandwich_low, sandwich_high),
     where sigma_k = s_k / j and the quotient is (s1 + s2 + s3 + s4) / j.
-    Needs 0 <= i < i + j < 3**order.  k0 is the length of the digit prefix
+    p is the least p with 3**-p <= h and k0 the length of the digit prefix
     that x and x + h share, read from the same digits that ``_k_scaled``
-    sums and the walk counts.  Every check of ``sigma_decompose`` is
-    decided on integers, its bounds multiplied through by j.  For the sum,
+    sums and the walk counts.  sigma1 sums the shared levels, sigma2 is
+    the crossing level k0, sigma3 the forced-carry levels and sigma4 the
+    fine-scale tail; level n adds the integer T_n(i + j) - T_n(i), where
+    T_n(k) = 3**(order - n) * Phi(3**n * k / 3**order).  Every check is
+    decided on integers, its bounds multiplied through by j.
     ``_k_scaled`` at each end must equal the sum of that end's
-    ``_k_terms``, and the difference of the two ends must equal the sum of
-    the parts, so an offset common to both ends is caught too.  A failed
+    ``_k_terms``, and the difference of the two ends must equal the sum
+    of the parts, so an offset common to both ends is caught too; sigma2
+    lies in [-6, 3], |sigma4| <= 9, and the quotient in the case's
+    sandwich around the digit weight f(1, n) = 3 W(n) of x.  A failed
     check raises ProofCheckError, also under ``python -O``; the sigmas and
-    the quotient become Fractions only in its message.
+    the quotient become Fractions only in its message.  Raises DomainError
+    unless 0 <= i < i + j < 3**order.
     """
     scale = 3**order
+    if not 0 <= i < i + j < scale:
+        raise DomainError(f"need 0 <= i < i + j < 3**{order}")
     p, width = 1, scale // 3  # smallest p with 3**-p <= h; width = 3**(order - p)
     while width > j:
         p, width = p + 1, width // 3
@@ -183,50 +165,6 @@ def _sigma_parts(
     return p, k0, case_tag, s1, s2, s3, s4, low, high
 
 
-def sigma_decompose(x: Fraction, h: Fraction) -> SigmaDecomposition:
-    """Decompose the difference quotient of K at exact ternary rationals.
-
-    Requires 0 <= x < x+h < 1 with both endpoints ternary rationals, so
-    all sums are finite and exact.  With order m, x = i / 3**m and
-    h = j / 3**m, level n contributes (T_n(i + j) - T_n(i)) / j, where
-    T_n(k) = 3**m * 3**-n * Phi(3**n * k / 3**m) is an integer; each sigma
-    is an integer sum over j.  ``_sigma_parts`` checks the proof on those
-    integers, multiplied through by j: the sum of the four parts equals
-    3**m * (K(x + h) - K(x)), with K at each end from its digit series and
-    equal to that end's sawtooth sum, sigma2 in [-6, 3], |sigma4| <= 9, and
-    the quotient lies in the case-appropriate sandwich around the digit
-    weight f(1, n) = 3 W(n) of x.  A failed check raises
-    ProofCheckError, also under ``python -O``; the Fraction fields are
-    built from the integers only after every check has passed.
-    """
-    x = Fraction(x)
-    h = Fraction(h)
-    if h <= 0:
-        raise DomainError("h must be positive")
-    if not (0 <= x and x + h < 1):
-        raise DomainError("need 0 <= x < x + h < 1")
-    order = max(_ternary_order(x), _ternary_order(x + h))
-    scale = 3**order
-    i = x.numerator * (scale // x.denominator)
-    j = h.numerator * (scale // h.denominator)
-    p, k0, case_tag, *parts, low, high = _sigma_parts(i, j, order)
-    sigma1, sigma2, sigma3, sigma4 = (Fraction(s, j) for s in parts)
-    return SigmaDecomposition(
-        x=x,
-        h=h,
-        p=p,
-        k0=k0,
-        case_tag=case_tag,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        sigma3=sigma3,
-        sigma4=sigma4,
-        quotient=Fraction(sum(parts), j),
-        sandwich_low=Fraction(low),
-        sandwich_high=Fraction(high),
-    )
-
-
 def _draw_ternary_pair(rng, max_order: int) -> tuple[int, int, int]:
     """(i, j, m) with 0 <= i < i + j < 3**m, from three draws of rng."""
     m = int(rng.integers(2, max_order + 1))
@@ -236,23 +174,16 @@ def _draw_ternary_pair(rng, max_order: int) -> tuple[int, int, int]:
     return i, j, m
 
 
-def random_ternary_pair(rng, max_order: int) -> tuple[Fraction, Fraction]:
-    """Random exact (x, h) with 0 <= x < x + h < 1, both ternary rationals."""
-    i, j, m = _draw_ternary_pair(rng, max_order)
-    return Fraction(i, 3**m), Fraction(j, 3**m)
-
-
 def sigma_fuzz(trials: int, seed: int) -> dict:
     """Run the decomposition on random exact pairs; report bound violations.
 
-    The pairs, of order up to ``_FUZZ_ORDER``, come from ``Philox(key=seed)``
-    with the draws of ``random_ternary_pair``.  Each pair (i, j, m) goes
-    straight to ``_sigma_parts``, which decides every bound of
-    ``sigma_decompose`` on integers and raises ProofCheckError, also under
-    ``python -O``; only the case tags and the violations are counted, so no
-    Fraction field is built.  Raises DomainError unless 0 <= seed < 2**128,
-    the range of a Philox key, and unless trials >= 1, and
-    ResourceLimitError for trials above ``_FUZZ_TRIALS_CAP``, before
+    The pairs (i, j, m), of order m up to ``_FUZZ_ORDER``, come from
+    ``Philox(key=seed)`` with the draws of ``_draw_ternary_pair``, and each
+    goes to ``sigma_decompose``, which decides every bound on integers and
+    raises ProofCheckError, also under ``python -O``; only the case tags
+    and the violations are counted.  Raises DomainError unless
+    0 <= seed < 2**128, the range of a Philox key, and unless trials >= 1,
+    and ResourceLimitError for trials above ``_FUZZ_TRIALS_CAP``, before
     anything is drawn.
     """
     import numpy as np
@@ -268,7 +199,7 @@ def sigma_fuzz(trials: int, seed: int) -> dict:
     cases = {"k0<=p-3": 0, "k0==p-2": 0, "k0==p-1": 0}
     for _ in range(trials):
         try:
-            case_tag = _sigma_parts(*_draw_ternary_pair(rng, _FUZZ_ORDER))[2]
+            case_tag = sigma_decompose(*_draw_ternary_pair(rng, _FUZZ_ORDER))[2]
         except ProofCheckError:
             violations += 1
             continue

@@ -77,39 +77,26 @@ def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
     )
 
 
-@dataclass(frozen=True)
-class FrequencyTriple:
-    """Prescribed digit frequencies (p0, p1, p2), summing to 1."""
-
-    p0: float
-    p1: float
-    p2: float
-
-    def __post_init__(self):
-        for p in (self.p0, self.p1, self.p2):
-            if not 0 <= p <= 1:
-                raise DomainError(f"frequency {p} outside [0, 1]")
-        if abs(self.p0 + self.p1 + self.p2 - 1) > 1e-12:
-            raise DomainError("frequencies must sum to 1")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p0, self.p1, self.p2)
-
-
-def symmetric_triple(alpha: float) -> FrequencyTriple:
+def symmetric_triple(alpha: float) -> tuple[float, float, float]:
     """((1-alpha)/2, alpha, (1-alpha)/2)."""
-    return FrequencyTriple((1 - alpha) / 2, alpha, (1 - alpha) / 2)
+    return ((1 - alpha) / 2, alpha, (1 - alpha) / 2)
 
 
-def hausdorff_frequency_dim(p: FrequencyTriple) -> float:
+def hausdorff_frequency_dim(p: tuple[float, float, float]) -> float:
     """Entropy dimension (-sum p_i ln p_i) / ln 3 of a digit-frequency set.
 
-    Uses the convention 0 * ln 0 = 0; equals 1 exactly at (1/3, 1/3, 1/3).
+    The three frequencies must lie in [0, 1] and sum to 1 within 1e-12,
+    else DomainError.  Uses the convention 0 * ln 0 = 0; equals 1 exactly
+    at (1/3, 1/3, 1/3).
     """
     ent = 0.0
-    for pi in p.as_tuple():
+    for pi in p:
+        if not 0 <= pi <= 1:
+            raise DomainError(f"frequency {pi} outside [0, 1]")
         if pi > 0:
             ent -= pi * math.log(pi)
+    if abs(sum(p) - 1) > 1e-12:
+        raise DomainError("frequencies must sum to 1")
     return ent / LN3
 
 
@@ -119,7 +106,6 @@ class WalkExperiment:
 
     sample_count: int
     horizon: int
-    seed: int
     crossing_fraction: float
     mean_step_estimate: float
 
@@ -192,7 +178,6 @@ def walk_monte_carlo(samples: int, horizon: int, seed: int) -> WalkExperiment:
     return WalkExperiment(
         sample_count=samples,
         horizon=horizon,
-        seed=seed,
         crossing_fraction=crossed / samples,
         mean_step_estimate=step_total / (samples * horizon),
     )

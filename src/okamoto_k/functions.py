@@ -482,9 +482,15 @@ def dFa_da_fd(a: float, x: float, h: float) -> float:
 
 
 def hata_yamaguti_residual(grid: int, h: float) -> float:
-    """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|, step h > 0."""
+    """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|, step h.
+
+    0 < h < 1/2 keeps both a = 1/2 +- h inside (0, 1); any other h raises
+    DomainError before the grid is built.
+    """
     if not h > 0:
         raise DomainError(f"step h={h} must be > 0")
+    if h >= 0.5:
+        raise DomainError(f"step h={h} must be below 1/2")
     import numpy as np
     xs = sample_grid(grid + 1)
     hi = lebesgue_L_array(0.5 + h, xs)

@@ -726,6 +726,13 @@ class TestOutputHandling:
             (["classify", "1e-4000"], 4,
              "period of x with a 13288-bit denominator exceeds cap of 1000000 digits"),
             (["experiment", "hata-yamaguti", "--step", "0"], 3, "step h=0.0 must be > 0"),
+            (["experiment", "hata-yamaguti", "--step", "0.5"], 3,
+             "step h=0.5 must be below 1/2"),
+            (["experiment", "hata-yamaguti", "--step", "inf"], 3,
+             "step h=inf must be below 1/2"),
+            # refused before the 10**6-point grid is built
+            (["experiment", "hata-yamaguti", "--step", "0.6", "--grid", "999999"], 3,
+             "step h=0.6 must be below 1/2"),
             (["classify", "1e-5000"], 4,
              "'1e-5000' as p/q has more than 4300 decimal digits"),
             (["construct", "--a", "1e-4000", "--level", "12"], 4,
@@ -738,7 +745,9 @@ class TestOutputHandling:
              "sigma-fuzz", "sigma-fuzz-no-trials", "sigma-fuzz-negative-trials",
              "sigma-fuzz-trials-cap", "hata-yamaguti", "classify-period-cap",
              "classify-long-period-cap",
-             "hata-yamaguti-zero-step", "classify-long-rational",
+             "hata-yamaguti-zero-step", "hata-yamaguti-half-step",
+             "hata-yamaguti-infinite-step", "hata-yamaguti-large-step-large-grid",
+             "classify-long-rational",
              "construct-numerator-bits", "unwritable-output"],
     )
     def test_no_file_written_on_failure(self, tmp_path, capsys, argv, exit_code, message):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -18,13 +17,12 @@ import okamoto_k
 from okamoto_k import derivative, functions
 from okamoto_k.derivative import (
     DerivativeClass,
+    _draw_ternary_pair,
     _k_scaled,
-    _sigma_parts,
     billingsley_divergence_witness,
     classification_report,
     classify_point,
     period_drift,
-    random_ternary_pair,
     secant_slope,
     sigma_decompose,
     sigma_fuzz,
@@ -40,6 +38,15 @@ from okamoto_k.ternary import (
 from oracles import naive_ternary_digits, sigma_split_fractions
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=500)
+
+
+def split_fields(i: int, j: int, order: int) -> dict:
+    """sigma_decompose(i, j, order) as the oracle's fields, the sigmas over j."""
+    p, k0, tag, *parts, low, high = sigma_decompose(i, j, order)
+    fields = {"p": p, "k0": k0, "case_tag": tag, "quotient": Fraction(sum(parts), j)}
+    fields.update((f"sigma{k}", Fraction(s, j)) for k, s in enumerate(parts, 1))
+    fields.update(sandwich_low=low, sandwich_high=high)
+    return fields
 
 
 class TestClassifyPoint:
@@ -130,34 +137,48 @@ class TestDivergenceWitness:
 class TestSigmaDecomposition:
     def test_zero_and_one_twenty_seventh(self):
         # digits 000... vs 001(000...): shared prefix of length 2, p = 3
-        dec = sigma_decompose(Fraction(0), Fraction(1, 27))
-        assert dec.p == 3
-        assert dec.k0 == 2
-        assert dec.case_tag == "k0==p-1"
-        assert dec.quotient == 9
-        assert dec.sigma1 + dec.sigma2 + dec.sigma3 + dec.sigma4 == 9
+        p, k0, tag, *parts, low, high = sigma_decompose(0, 1, 3)
+        assert (p, k0, tag) == (3, 2, "k0==p-1")
+        assert sum(parts) == 9  # j = 1: the quotient itself
 
     def test_carry_chain_hits_first_case(self):
         # x = 0.10222, x + h = 0.11: shared prefix 1, p = 5
-        x = Fraction(107, 243)
-        h = Fraction(1, 243)
-        dec = sigma_decompose(x, h)
-        assert dec.case_tag == "k0<=p-3"
-        assert dec.k0 == 1
-        assert dec.sigma1 == 3 * walk_value(expand_rational(x), dec.k0)
+        p, k0, tag, s1, *_ = sigma_decompose(107, 1, 5)
+        assert tag == "k0<=p-3"
+        assert k0 == 1
+        assert s1 == 3 * walk_value(expand_rational(Fraction(107, 243)), k0)
 
-    def test_rejects_non_ternary(self):
+    @pytest.mark.parametrize(
+        "i,j,order",
+        [
+            (-1, 1, 3),
+            (0, 0, 3),
+            (24, 3, 3),  # i + j = 3**3
+            (24, 6, 3),  # x = 8/9, h = 2/9
+            (0, 1, 0),
+        ],
+    )
+    def test_rejects_pairs_outside_the_unit_interval(self, i, j, order):
         with pytest.raises(DomainError):
-            sigma_decompose(Fraction(1, 2), Fraction(1, 9))
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(DomainError):
-            sigma_decompose(Fraction(8, 9), Fraction(2, 9))
+            sigma_decompose(i, j, order)
 
     def test_fuzz_has_no_violations(self):
         report = sigma_fuzz(500, seed=11)
         assert report["violations"] == 0
         assert sum(report["cases"].values()) == 500
+
+    def test_fuzz_calls_sigma_decompose_by_name(self, monkeypatch):
+        # a wrapper installed on the module name sees every split of the run
+        want = sigma_fuzz(40, seed=3)
+        decompose, calls = derivative.sigma_decompose, []
+
+        def counting(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(derivative, "sigma_decompose", counting)
+        assert sigma_fuzz(40, seed=3) == want
+        assert len(calls) == 40
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_fuzz_needs_a_trial(self, trials):
@@ -172,7 +193,7 @@ class TestSigmaDecomposition:
     def test_sandwich_violation_raises(self, monkeypatch):
         monkeypatch.setattr(derivative, "walk_value", lambda x, n: 10**6)
         with pytest.raises(ProofCheckError, match="outside"):
-            sigma_decompose(Fraction(0), Fraction(1, 27))
+            sigma_decompose(0, 1, 3)
 
     @pytest.mark.parametrize(
         "order,j,moved,message",
@@ -191,7 +212,7 @@ class TestSigmaDecomposition:
             derivative, "_k_terms", lambda k, m: moved if k == j else k_terms(k, m)
         )
         with pytest.raises(ProofCheckError, match=message):
-            _sigma_parts(0, j, order)
+            sigma_decompose(0, j, order)
 
     @pytest.mark.parametrize(
         "k_wrong",
@@ -206,7 +227,7 @@ class TestSigmaDecomposition:
     def test_sum_violation_raises(self, monkeypatch, k_wrong):
         monkeypatch.setattr(derivative, "_k_scaled", k_wrong)
         with pytest.raises(ProofCheckError, match="sigma sum differs"):
-            sigma_decompose(Fraction(0), Fraction(1, 27))
+            sigma_decompose(0, 1, 3)
         report = sigma_fuzz(40, seed=3)
         assert report["violations"] == report["trials"] == 40
 
@@ -221,7 +242,7 @@ class TestSigmaDecomposition:
         monkeypatch.setattr(functions, "_k_terms", shifted)
         monkeypatch.setattr(derivative, "_k_terms", shifted)
         with pytest.raises(ProofCheckError, match="sigma sum differs"):
-            sigma_decompose(Fraction(0), Fraction(1, 27))
+            sigma_decompose(0, 1, 3)
         report = sigma_fuzz(40, seed=3)
         assert report["violations"] == report["trials"] == 40
 
@@ -264,34 +285,22 @@ class TestSigmaDecomposition:
         for report in doc["reports"]:
             assert report["violations"] == report["trials"] == 40
 
-    def test_matches_fraction_oracle_on_all_order_4_pairs(self):
-        for i in range(81):
-            for j in range(1, 81 - i):
-                x, h = Fraction(i, 81), Fraction(j, 81)
-                dec = dataclasses.asdict(sigma_decompose(x, h))
-                assert dec == sigma_split_fractions(x, h), (x, h)
-
     def test_parts_match_fraction_oracle_at_every_order_up_to_4(self):
         # every pair at every order, also where i and j share a factor of 3
         for order in range(1, 5):
             scale = 3**order
             for i in range(scale):
                 for j in range(1, scale - i):
-                    p, k0, tag, *parts, low, high = _sigma_parts(i, j, order)
+                    got = split_fields(i, j, order)
                     want = sigma_split_fractions(Fraction(i, scale), Fraction(j, scale))
-                    got = {"p": p, "k0": k0, "case_tag": tag}
-                    got.update(
-                        (f"sigma{k}", Fraction(s, j)) for k, s in enumerate(parts, 1)
-                    )
-                    got.update(sandwich_low=low, sandwich_high=high)
                     assert got == {k: want[k] for k in got}, (i, j, order)
 
     def test_parts_do_not_depend_on_the_order(self):
         # two more trailing zero digits add two zero terms and scale i, j by 9
         for i in range(81):
             for j in range(1, 81 - i):
-                p, k0, tag, *parts, low, high = _sigma_parts(i, j, 4)
-                p6, k06, tag6, *parts6, low6, high6 = _sigma_parts(9 * i, 9 * j, 6)
+                p, k0, tag, *parts, low, high = sigma_decompose(i, j, 4)
+                p6, k06, tag6, *parts6, low6, high6 = sigma_decompose(9 * i, 9 * j, 6)
                 assert (p6, k06, tag6, low6, high6) == (p, k0, tag, low, high)
                 assert parts6 == [9 * s for s in parts], (i, j)
 
@@ -302,7 +311,8 @@ class TestSigmaDecomposition:
         cases = {"k0<=p-3": 0, "k0==p-2": 0, "k0==p-1": 0}
         violations = 0
         for _ in range(300):
-            dec = sigma_split_fractions(*random_ternary_pair(rng, derivative._FUZZ_ORDER))
+            i, j, m = _draw_ternary_pair(rng, derivative._FUZZ_ORDER)
+            dec = sigma_split_fractions(Fraction(i, 3**m), Fraction(j, 3**m))
             parts = [dec[f"sigma{k}"] for k in range(1, 5)]
             if (
                 sum(parts) != dec["quotient"]
@@ -319,19 +329,20 @@ class TestSigmaDecomposition:
     def test_matches_fraction_oracle_on_random_pairs(self):
         rng = np.random.Generator(np.random.Philox(key=23))
         for _ in range(500):
-            x, h = random_ternary_pair(rng, max_order=10)
-            dec = dataclasses.asdict(sigma_decompose(x, h))
-            assert dec == sigma_split_fractions(x, h), (x, h)
+            i, j, m = _draw_ternary_pair(rng, max_order=10)
+            got = split_fields(i, j, m)
+            want = sigma_split_fractions(Fraction(i, 3**m), Fraction(j, 3**m))
+            assert got == {k: want[k] for k in got}, (i, j, m)
 
     def test_case_one_sigma1_is_digit_weight(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         seen = 0
         while seen < 50:
-            x, h = random_ternary_pair(rng, max_order=9)
-            dec = sigma_decompose(x, h)
-            if dec.case_tag != "k0<=p-3" or dec.k0 == 0:
+            i, j, m = _draw_ternary_pair(rng, max_order=9)
+            p, k0, tag, s1, *_ = sigma_decompose(i, j, m)
+            if tag != "k0<=p-3" or k0 == 0:
                 continue
-            assert dec.sigma1 == 3 * walk_value(expand_rational(x), dec.k0)
+            assert Fraction(s1, j) == 3 * walk_value(expand_rational(Fraction(i, 3**m)), k0)
             seen += 1
 
 

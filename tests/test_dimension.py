@@ -6,7 +6,6 @@ import pytest
 
 from okamoto_k import dimension
 from okamoto_k.dimension import (
-    FrequencyTriple,
     a0_root,
     box_dimension_estimate,
     box_dimension_formula,
@@ -102,7 +101,7 @@ class TestHausdorffFrequencyDim:
         )
 
     def test_degenerate_is_zero(self):
-        assert hausdorff_frequency_dim(FrequencyTriple(1, 0, 0)) == 0.0
+        assert hausdorff_frequency_dim((1, 0, 0)) == 0.0
 
     def test_point_three_matches_high_precision(self):
         val = hausdorff_frequency_dim(symmetric_triple(0.3))
@@ -121,9 +120,9 @@ class TestHausdorffFrequencyDim:
 
     def test_triple_validation(self):
         with pytest.raises(DomainError):
-            FrequencyTriple(0.5, 0.6, 0.2)
+            hausdorff_frequency_dim((0.5, 0.6, 0.2))
         with pytest.raises(DomainError):
-            FrequencyTriple(-0.1, 0.6, 0.5)
+            hausdorff_frequency_dim((-0.1, 0.6, 0.5))
 
 
 class TestWalkMonteCarlo:
