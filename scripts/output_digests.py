@@ -47,6 +47,8 @@ EXPERIMENTS = [
     "experiment box-dim --a 1e-4000 --levels 4",  # 0.0 as a float
     "experiment box-dim --levels 11",
     "experiment box-dim --a 2/3 --levels 12",
+    # the least step above 2**-54: 0.5 + h is the next float above 0.5
+    "experiment hata-yamaguti --grid 10 --step 5.551115123125784e-17",
 ]
 CLASSIFY = [
     f"classify {x}"
@@ -104,6 +106,10 @@ DOMAIN = [
     "experiment hata-yamaguti --step=-1e-6",
     "experiment hata-yamaguti --step 0.5",
     "experiment hata-yamaguti --step inf",
+    # steps that leave 0.5 + h equal to 0.5 in floats
+    "experiment hata-yamaguti --grid 10 --step 1e-17",
+    "experiment hata-yamaguti --grid 10 --step 1e-300",
+    "experiment hata-yamaguti --grid 10 --step 5.551115123125783e-17",
     # out of range, and too long to print in the message
     "classify 1e4000",
     "construct --a 1e4000 --level 1",

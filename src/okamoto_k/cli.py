@@ -310,15 +310,9 @@ def _cmd_classify(args) -> str:
 
 def _run_box_dim(args) -> tuple[dict, dict]:
     a = _parse_rational(args.a)
-    result = box_dimension_estimate(a, args.levels)
-    return {"a": str(a), "levels": args.levels}, {
-        "scales": list(result.scales),
-        "counts": list(result.counts),
-        "fitted_dimension": result.fitted_dimension,
-        "residual": result.residual,
-        "fit_levels": list(result.fit_levels),
-        "closed_form": box_dimension_formula(a),
-    }
+    results = box_dimension_estimate(a, args.levels)
+    results["closed_form"] = box_dimension_formula(a)
+    return {"a": str(a), "levels": args.levels}, results
 
 
 def _run_walk_mc(args) -> tuple[dict, dict]:

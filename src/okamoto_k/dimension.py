@@ -28,18 +28,7 @@ def box_dimension_formula(a: Fraction | float) -> float:
     return 1.0 + math.log(4 * float(a) - 1) / LN3
 
 
-@dataclass(frozen=True)
-class BoxCountResult:
-    """Box counts per grid scale with the least-squares dimension fit."""
-
-    scales: tuple[float, ...]
-    counts: tuple[int, ...]
-    fitted_dimension: float
-    residual: float
-    fit_levels: tuple[int, ...]
-
-
-def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
+def box_dimension_estimate(a: Fraction, max_level: int) -> dict:
     """Count 3^-j boxes meeting the exact level-max_level graph, j = 1..max_level.
 
     Each piece y -> a*y, a + (1-2a)*y, (1-a) + a*y maps [0, 1] into [0, 1],
@@ -48,10 +37,12 @@ def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
     the closed boxes met number 3^j + sum_i |floor(3^j y_(i+1)) -
     floor(3^j y_i)| over the level-j ordinates y_i.  The dimension is the
     slope of log N against log 3^j over levels ``_FIT_MIN_LEVEL`` = 3 to
-    max_level.  Raises DomainError when fewer than two levels are left to
-    fit; ``okamoto_iterative`` caps max_level.
+    max_level.  Returns the ``experiment box-dim`` results: scales, counts,
+    fitted_dimension, the rms residual and fit_levels.  Raises DomainError
+    when fewer than two levels are left to fit; ``okamoto_iterative`` caps
+    max_level.
     """
-    fit_levels = tuple(range(_FIT_MIN_LEVEL, max_level + 1))
+    fit_levels = list(range(_FIT_MIN_LEVEL, max_level + 1))
     if len(fit_levels) < 2:
         raise DomainError(
             f"levels {_FIT_MIN_LEVEL}..{max_level} leave fewer than two to fit"
@@ -68,13 +59,13 @@ def box_dimension_estimate(a: Fraction, max_level: int) -> BoxCountResult:
     ys = np.array([math.log(counts[j - 1]) for j in fit_levels])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return BoxCountResult(
-        scales=tuple(3.0**-j for j in range(1, max_level + 1)),
-        counts=tuple(counts),
-        fitted_dimension=float(slope),
-        residual=resid,
-        fit_levels=fit_levels,
-    )
+    return {
+        "scales": [3.0**-j for j in range(1, max_level + 1)],
+        "counts": counts,
+        "fitted_dimension": float(slope),
+        "residual": resid,
+        "fit_levels": fit_levels,
+    }
 
 
 def symmetric_triple(alpha: float) -> tuple[float, float, float]:
@@ -225,9 +216,6 @@ def a0_root() -> float:
         return 54 * a**3 - 27 * a**2 - 1
 
     lo, hi = 0.5, 1.0
-    if not (f(lo) < 0 < f(hi)):
-        raise DomainError("bracket does not straddle the root")
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = f(mid)

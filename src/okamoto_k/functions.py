@@ -85,8 +85,10 @@ def kobayashi_truncation(a: float, terms: int = TERNARY_TERMS) -> SeriesTruncati
     The n-th term is bounded by r(a)^(n-1) * max(a, 1-a), so the tail
     dropped after N terms is at most r^N * max(a, 1-a) / (1 - r).  Where
     r rounds to 1, as 1 - 2a does for a below about 2.8e-17, the bound is
-    infinite and no term count reaches a target: DomainError.
+    infinite and no term count reaches a target: DomainError, as for an a
+    outside (0, 1) or NaN.
     """
+    _check_a(a)
     r = contraction_ratio(a)
     if r >= 1:
         raise DomainError(f"contraction ratio of a={a} rounds to 1")
@@ -94,13 +96,28 @@ def kobayashi_truncation(a: float, terms: int = TERNARY_TERMS) -> SeriesTruncati
 
 
 def kobayashi_terms_for(a: float, target: float) -> int:
-    """Smallest term count whose tail bound is <= target; target must be > 0."""
+    """Least N >= 1 with ``kobayashi_truncation(a, N).tail_bound <= target``.
+
+    The target must be > 0.  The bound never rises with N and is 0.0 once
+    r^N underflows, so N is bracketed by doubling and then bisected.
+    """
     if not target > 0:
         raise DomainError(f"target={target} must be > 0")
-    n = TERNARY_TERMS
-    while kobayashi_truncation(a, n).tail_bound > target:
-        n += max(8, n // 4)
-    return n
+
+    def meets(n: int) -> bool:
+        return kobayashi_truncation(a, n).tail_bound <= target
+
+    hi = 1
+    while not meets(hi):
+        hi *= 2
+    lo = hi // 2  # 0, or a count that misses the target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +254,6 @@ class PiecewiseLinear:
     """
 
     level: int
-    a: Fraction
     numerators: tuple[int, ...]
     denominator: int
 
@@ -250,21 +266,14 @@ class PiecewiseLinear:
         den = self.denominator
         return tuple(Fraction(n, den) for n in self.numerators)
 
-    def value_exact(self, x: Fraction) -> Fraction:
-        """Exact interpolated value at rational x in [0, 1]."""
+    def __call__(self, x: float) -> float:
+        """The interpolated value at the exact rational value of the float x."""
         x = Fraction(x)
         _check_point(x)
         nums = self.numerators
         scaled = x * 3**self.level
-        k = math.floor(scaled)
-        if k == 3**self.level:
-            return Fraction(nums[-1], self.denominator)
-        frac = scaled - k
-        return (nums[k] + frac * (nums[k + 1] - nums[k])) / self.denominator
-
-    def __call__(self, x: float) -> float:
-        """The interpolated value at the exact rational value of the float x."""
-        return float(self.value_exact(Fraction(x)))
+        k = min(math.floor(scaled), 3**self.level - 1)  # x = 1 ends the last piece
+        return float((nums[k] + (scaled - k) * (nums[k + 1] - nums[k])) / self.denominator)
 
 
 def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
@@ -302,7 +311,7 @@ def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
             nxt += (base, base + p * rise, base + (q - p) * rise)
         nxt.append(nums[-1] * q)
         nums = nxt
-    return PiecewiseLinear(level, a, tuple(nums), q**level)
+    return PiecewiseLinear(level, tuple(nums), q**level)
 
 
 def okamoto_series(
@@ -484,13 +493,16 @@ def dFa_da_fd(a: float, x: float, h: float) -> float:
 def hata_yamaguti_residual(grid: int, h: float) -> float:
     """Max over a grid of |central dL_a/da at a=1/2 minus 2*T(x)|, step h.
 
-    0 < h < 1/2 keeps both a = 1/2 +- h inside (0, 1); any other h raises
-    DomainError before the grid is built.
+    0 < h < 1/2 keeps both a = 1/2 +- h inside (0, 1), and h above 2^-54
+    keeps both off 0.5 in floats, where the residual would be max |2T|; any
+    other h raises DomainError before the grid is built.
     """
     if not h > 0:
         raise DomainError(f"step h={h} must be > 0")
     if h >= 0.5:
         raise DomainError(f"step h={h} must be below 1/2")
+    if 0.5 + h == 0.5 or 0.5 - h == 0.5:
+        raise DomainError(f"step h={h} leaves a = 1/2 +- h equal to 1/2 in floats")
     import numpy as np
     xs = sample_grid(grid + 1)
     hi = lebesgue_L_array(0.5 + h, xs)

@@ -198,15 +198,15 @@ def test_criterion_08_box_dimension():
     start = time.perf_counter()
     est = box_dimension_estimate(Fraction(2, 3), 8)
     want = box_dimension_formula(2 / 3)
-    assert abs(est.fitted_dimension - want) < 0.05
+    assert abs(est["fitted_dimension"] - want) < 0.05
     est_flat = box_dimension_estimate(Fraction(1, 3), 8)
-    assert abs(est_flat.fitted_dimension - 1.0) < 0.05
+    assert abs(est_flat["fitted_dimension"] - 1.0) < 0.05
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(
         8,
-        f"box dimension a=2/3: {est.fitted_dimension:.4f} vs {want:.4f}; "
-        f"a=1/3: {est_flat.fitted_dimension:.4f} ({elapsed:.1f}s)",
+        f"box dimension a=2/3: {est['fitted_dimension']:.4f} vs {want:.4f}; "
+        f"a=1/3: {est_flat['fitted_dimension']:.4f} ({elapsed:.1f}s)",
     )
 
 

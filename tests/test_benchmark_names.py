@@ -3,10 +3,12 @@
 perfbench wraps the functions in ``tracing.TRACED`` and its workloads read
 library attributes directly; a name pruned from the library breaks the
 benchmark, not the unit tests.  The harness files are parsed, not
-imported, so nothing under ``perfbench/`` runs here.
+imported, so nothing under ``perfbench/`` runs here.  The fields it reads
+of the records that library calls return are listed by hand.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -72,3 +74,22 @@ def test_harness_reads_the_library():
 @pytest.mark.parametrize("module,name", _names())
 def test_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+# (module, record, field) for every result field the harness reads
+FIELDS = [
+    ("dimension", "WalkExperiment", "sample_count"),  # tracing._walk_paths
+    ("dimension", "WalkExperiment", "horizon"),  # tracing._walk_paths
+    ("ternary", "DigitSeq", "preperiod"),  # tracing._digits
+    ("ternary", "DigitSeq", "period"),  # tracing._digits
+    ("functions", "SeriesTruncation", "terms"),  # tracing._terms
+    ("functions", "SeriesTruncation", "tail_bound"),  # workloads._GridFn.tolerance
+    ("derivative", "DivergenceWitness", "partial_sums"),  # workloads._witness_check
+    ("derivative", "DivergenceWitness", "all_steps_valid"),  # workloads._witness_check
+]
+
+
+@pytest.mark.parametrize("module,record,field", FIELDS)
+def test_field_exists(module, record, field):
+    cls = getattr(importlib.import_module(f"okamoto_k.{module}"), record)
+    assert field in {f.name for f in dataclasses.fields(cls)}

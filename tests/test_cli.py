@@ -507,6 +507,27 @@ for argv in {calls!r}:
     assert proc.stdout.splitlines() == ["False", "False", "0 False", "0 False", "0 True"]
 
 
+def test_package_import_loads_no_submodule():
+    # in a child process, as above; the package holds only its version
+    src = str(Path(okamoto_k.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = """
+import sys
+import okamoto_k
+print(okamoto_k.__version__)
+print(sorted(name for name in sys.modules if name.startswith("okamoto_k.")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [okamoto_k.__version__, "[]"]
+
+
 @pytest.mark.parametrize("text", ["1e-4300", "-1e4300"])
 def test_rational_past_the_text_digit_limit(text):
     # 10**4299 has the 4300 digits that Python writes as text, 10**4300 one more
@@ -678,6 +699,15 @@ class TestExperiment:
         doc = json.loads(out)
         assert doc["results"]["max_abs_residual"] < 1e-3
 
+    def test_hata_yamaguti_least_step(self, capsys):
+        # the first step above 2**-54 moves 0.5 + h off 0.5, and is run
+        step = math.nextafter(2**-54, 1)
+        code, out, _ = run(
+            capsys, "experiment", "hata-yamaguti", "--grid", "10", "--step", repr(step)
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["h"] == step
+
 
 class TestOutputHandling:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -730,6 +760,14 @@ class TestOutputHandling:
              "step h=0.5 must be below 1/2"),
             (["experiment", "hata-yamaguti", "--step", "inf"], 3,
              "step h=inf must be below 1/2"),
+            # 0.5 + h rounds to 0.5 at every h <= 2**-54, and 0.5 - h too below that
+            (["experiment", "hata-yamaguti", "--grid", "10", "--step", "1e-17"], 3,
+             "step h=1e-17 leaves a = 1/2 +- h equal to 1/2 in floats"),
+            (["experiment", "hata-yamaguti", "--grid", "10", "--step", "1e-300"], 3,
+             "step h=1e-300 leaves a = 1/2 +- h equal to 1/2 in floats"),
+            (["experiment", "hata-yamaguti", "--grid", "10", "--step",
+              "5.551115123125783e-17"], 3,
+             "step h=5.551115123125783e-17 leaves a = 1/2 +- h equal to 1/2 in floats"),
             # refused before the 10**6-point grid is built
             (["experiment", "hata-yamaguti", "--step", "0.6", "--grid", "999999"], 3,
              "step h=0.6 must be below 1/2"),
@@ -746,7 +784,9 @@ class TestOutputHandling:
              "sigma-fuzz-trials-cap", "hata-yamaguti", "classify-period-cap",
              "classify-long-period-cap",
              "hata-yamaguti-zero-step", "hata-yamaguti-half-step",
-             "hata-yamaguti-infinite-step", "hata-yamaguti-large-step-large-grid",
+             "hata-yamaguti-infinite-step", "hata-yamaguti-tiny-step",
+             "hata-yamaguti-subnormal-step", "hata-yamaguti-half-ulp-step",
+             "hata-yamaguti-large-step-large-grid",
              "classify-long-rational",
              "construct-numerator-bits", "unwritable-output"],
     )

@@ -58,20 +58,20 @@ class TestBoxDimensionFormula:
 class TestBoxDimensionEstimate:
     def test_diagonal_graph(self):
         result = box_dimension_estimate(Fraction(1, 3), 6)
-        assert result.fitted_dimension == pytest.approx(1.0, abs=0.01)
+        assert result["fitted_dimension"] == pytest.approx(1.0, abs=0.01)
 
     def test_staircase_parameter(self):
         result = box_dimension_estimate(Fraction(1, 2), 6)
-        assert result.fitted_dimension == pytest.approx(1.0, abs=0.05)
+        assert result["fitted_dimension"] == pytest.approx(1.0, abs=0.05)
 
     def test_fractal_parameter(self):
         result = box_dimension_estimate(Fraction(2, 3), 7)
         want = box_dimension_formula(2 / 3)
-        assert abs(result.fitted_dimension - want) < 0.06
+        assert abs(result["fitted_dimension"] - want) < 0.06
 
     def test_counts_nondecreasing_with_refinement(self):
         result = box_dimension_estimate(Fraction(2, 3), 6)
-        assert list(result.counts) == sorted(result.counts)
+        assert result["counts"] == sorted(result["counts"])
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -85,13 +85,13 @@ class TestBoxDimensionEstimate:
     def test_counts_match_fraction_count(self, a, levels):
         a = Fraction(a)
         want = box_counts_fractions(subdivision_fractions(a, levels), levels)
-        assert list(box_dimension_estimate(a, levels).counts) == want
+        assert box_dimension_estimate(a, levels)["counts"] == want
 
     @pytest.mark.parametrize("a,levels,ratio", [("2/3", 12, 5), ("5/6", 10, 7)])
     def test_counts_closed_form(self, a, levels, ratio):
         # N_j = 3^j + (12a - 3)^j here, at levels too fine for the Fraction oracle
-        counts = box_dimension_estimate(Fraction(a), levels).counts
-        assert list(counts) == [3**j + ratio**j for j in range(1, levels + 1)]
+        counts = box_dimension_estimate(Fraction(a), levels)["counts"]
+        assert counts == [3**j + ratio**j for j in range(1, levels + 1)]
 
 
 class TestHausdorffFrequencyDim:

@@ -268,12 +268,34 @@ class TestOkamotoEvaluators:
             over = [x for x, v, w, t in zip(xs, route, want, tol) if abs(v - w) > t]
             assert over == []
 
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, math.nan])
+    def test_terms_for_needs_a_in_the_unit_interval(self, a):
+        # a NaN ratio compares neither above nor below a target
+        with pytest.raises(DomainError, match=f"parameter a={a} outside"):
+            kobayashi_terms_for(a, 1e-14)
+
     @pytest.mark.parametrize("target", [0.0, -1e-14, -math.inf, math.nan])
     def test_terms_for_needs_a_positive_target(self, target):
         # the tail bound underflows to 0.0 but no lower, and never compares
         # above NaN
         with pytest.raises(DomainError, match=f"target={target} must be > 0"):
             kobayashi_terms_for(0.7, target)
+
+    @pytest.mark.parametrize(
+        "a,target",
+        # the least counts here are 284, 24, 143 and 93; stepping up from 40
+        # by a quarter gave 291, 40, 150 and 96
+        [(0.9, 1e-12), (0.3, 5e-10), (0.85, 5e-10), (0.7, 1e-14)]
+        + [
+            (a, target)
+            for a in (3e-17, 1e-6, 0.1, 1 / 3, 0.4, 0.5, 0.6, 0.75, 0.9, 0.999)
+            for target in (5e-324, 1e-300, 1e-14, 1e-12, 5e-10, 0.5, 1e300)
+        ],
+    )
+    def test_terms_for_gives_the_least_count(self, a, target):
+        n = kobayashi_terms_for(a, target)
+        assert kobayashi_truncation(a, n).tail_bound <= target
+        assert n == 1 or kobayashi_truncation(a, n - 1).tail_bound > target
 
     @given(
         st.floats(0.15, 0.85),
