@@ -69,23 +69,20 @@ class DivergenceWitness:
     """Partial secant slopes certifying non-Cauchy difference quotients."""
 
     partial_sums: tuple[Fraction, ...]
-    differences: tuple[Fraction, ...]
     all_steps_valid: bool
 
 
 def billingsley_divergence_witness(x: DigitSeq, n: int) -> DivergenceWitness:
-    """Secant slopes at levels 1..n and their consecutive differences.
+    """Secant slopes at levels 1..n, and whether each of their steps is valid.
 
-    Each difference must be 3 or -6 (the two slopes of the sawtooth), so
-    the slope sequence cannot converge to a finite limit.
+    Each step from 0 through the slopes must be 3 or -6 (the two slopes of
+    the sawtooth), so the slope sequence cannot converge to a finite limit.
     """
     if n < 2:
         raise DomainError("need horizon >= 2")
     sums = tuple(secant_slope(x, k) for k in range(1, n + 1))
-    diffs = tuple(b - a for a, b in zip(sums, sums[1:]))
-    first_ok = sums[0] in (3, -6)
-    valid = first_ok and all(d in (3, -6) for d in diffs)
-    return DivergenceWitness(sums, diffs, valid)
+    valid = all(b - a in (3, -6) for a, b in zip((0,) + sums, sums))
+    return DivergenceWitness(sums, valid)
 
 
 # ---------------------------------------------------------------------------

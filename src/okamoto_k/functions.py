@@ -4,11 +4,11 @@ Covers the tent map phi, the signed sawtooth Phi, the Takagi series T,
 the binary singular function L_a, the family F_a by two routes (exact
 subdivision, and the digit series over the exact ternary digits of x), the
 parameter-derivative function K at a = 1/3 (three routes: the sawtooth
-series, the digit series and the exact rational sum), and a
-finite-difference probe of dF_a/da.  The digit series of K is summed in
-one place, ``_k_scaled``, on integers: ``k_series_digits`` rounds its
-value once, and the sigma split checks it against the sawtooth terms of
-``_k_terms``.
+series, the digit series and the exact rational sum).  Both digit series,
+F_a's and K's, read the digits of the exact value of x through one window,
+``ternary._leading_digits``.  The digit series of K is summed in one place,
+``_k_scaled``, on integers: ``k_series_digits`` rounds its value once, and
+the sigma split checks it against the sawtooth terms of ``_k_terms``.
 
 Every float evaluator carries an explicit truncation with a proven tail
 bound; ``k_exact`` and ``okamoto_iterative`` are the exact-rational
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .ternary import DigitSeq, _check_point, _digits, _named, _ternary_order
+from .ternary import _check_point, _leading_digits, _named, _ternary_order
 
 TERNARY_TERMS = 40  # tail <= 1.5 * 3**-40, below double-precision noise
 BINARY_TERMS = 50  # the Takagi series: tail <= 2**-50
@@ -268,8 +268,8 @@ class PiecewiseLinear:
 
     def __call__(self, x: float) -> float:
         """The interpolated value at the exact rational value of the float x."""
-        x = Fraction(x)
         _check_point(x)
+        x = Fraction(x)
         nums = self.numerators
         scaled = x * 3**self.level
         k = min(math.floor(scaled), 3**self.level - 1)  # x = 1 ends the last piece
@@ -288,8 +288,8 @@ def okamoto_iterative(a: Fraction, level: int) -> PiecewiseLinear:
     numerators could exceed ``_ITERATIVE_BITS`` bits in all raises
     ResourceLimitError before any is made.
     """
-    a = Fraction(a)
     _check_a(a)
+    a = Fraction(a)
     if level < 0:
         raise DomainError("level must be >= 0")
     if 3**level + 1 > _ITERATIVE_CAP:
@@ -321,18 +321,16 @@ def okamoto_series(
 ) -> float:
     """Digit-product series for F_a(x); error <= trunc.tail_bound.
 
-    The digits are those of the exact value of x, a float or a Fraction,
-    divided out of ``x.as_integer_ratio()``; x = 1 takes the all-2's expansion.
+    The digits are the canonical ones of the exact value of x, a float or
+    a Fraction, read by ``_leading_digits`` as ``k_series_digits`` reads them.
     """
     _check_a(a)
-    _check_point(x)
     terms = trunc.terms if trunc else TERNARY_TERMS
     p = (a, 1 - 2 * a, a)
     q = (0.0, a, 1 - a)
-    r, s = x.as_integer_ratio()
     total = 0.0
     prod = 1.0
-    for d in b"\2" * terms if r == s else _digits(r, s, terms):
+    for d in _leading_digits(x, terms):
         total += prod * q[d]
         prod *= p[d]
     return total
@@ -412,16 +410,14 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
     return total
 
 
-def k_series_digits(x: DigitSeq) -> float:
+def k_series_digits(x: float | Fraction) -> float:
     """K via ``TERNARY_TERMS`` terms of the digit series, like ``k_series_phi``.
 
-    The sum is ``_k_scaled`` of the first digits of x, exact on integers,
-    divided by 3**TERNARY_TERMS and so rounded once.  The digits are one
-    slice of the preperiod and as many periods as they reach into.
+    The sum is ``_k_scaled`` of the first digits of the exact value of x, as
+    ``okamoto_series`` reads them, exact on integers, divided by
+    3**TERNARY_TERMS and so rounded once.
     """
-    cycles = -(-TERNARY_TERMS // len(x.period))
-    digits = (x.preperiod + x.period * cycles)[:TERNARY_TERMS]
-    return _k_scaled(digits) / 3**TERNARY_TERMS
+    return _k_scaled(_leading_digits(x, TERNARY_TERMS)) / 3**TERNARY_TERMS
 
 
 def _k_scaled(digits: bytes) -> int:
@@ -469,25 +465,10 @@ def k_exact(x: Fraction) -> Fraction:
     scaled by 3**m is an integer, so the value is an integer sum over
     3**m; this is the oracle for every float route.
     """
-    x = Fraction(x)
     _check_point(x)
+    x = Fraction(x)
     m = _ternary_order(x)
     return Fraction(sum(_k_terms(x.numerator, m)), 3**m)
-
-
-def dFa_da_fd(a: float, x: float, h: float) -> float:
-    """Central finite difference of F_a(x) in the parameter a, step h.
-
-    At a = 1/3 this converges to K(x) as h -> 0.
-    """
-    if not h > 0:
-        raise DomainError(f"step h={h} must be > 0")
-    if not (0 < a - h and a + h < 1):
-        raise DomainError("a +- h must stay inside (0, 1)")
-    n = max(kobayashi_terms_for(a + h, 1e-14), kobayashi_terms_for(a - h, 1e-14))
-    hi = okamoto_series(a + h, x, kobayashi_truncation(a + h, n))
-    lo = okamoto_series(a - h, x, kobayashi_truncation(a - h, n))
-    return (hi - lo) / (2 * h)
 
 
 def hata_yamaguti_residual(grid: int, h: float) -> float:

@@ -62,6 +62,15 @@ def _digits(r: int, q: int, n: int) -> bytes:
     return b"".join(groups)[:n]
 
 
+def _leading_digits(x, n: int) -> bytes:
+    """The first n canonical base-3 digits of the exact value of x in [0, 1],
+    a float, int or Fraction, divided out of ``x.as_integer_ratio()``; x = 1
+    gives n 2's."""
+    _check_point(x)
+    r, q = x.as_integer_ratio()
+    return b"\2" * n if r == q else _digits(r, q, n)
+
+
 def _period_length(q: int) -> int | None:
     """The order of 3 modulo q, 3 not dividing q: the least L >= 1 with
     3**L = 1 (mod q); None when it exceeds ``_PERIOD_CAP``.
@@ -149,7 +158,7 @@ class DigitSeq:
             raise DomainError("digits do not reconstruct the stored value")
 
 
-def expand_rational(x: Fraction | int | str) -> DigitSeq:
+def expand_rational(x: Fraction | int) -> DigitSeq:
     """Canonical eventually periodic ternary expansion of x in [0, 1].
 
     Terminating values end in the explicit period 0; x = 1 is stored
@@ -162,8 +171,8 @@ def expand_rational(x: Fraction | int | str) -> DigitSeq:
     after L = ord_q'(3) digits, and exactly s + L digits are made, none
     when L is over ``_PERIOD_CAP``, which raises ResourceLimitError.
     """
-    x = Fraction(x)
     _check_point(x)
+    x = Fraction(x)
     if x == 1:
         return DigitSeq(b"", b"\2", x)
     s, rest = _split_threes(x.denominator)

@@ -15,7 +15,7 @@ KEPT = {
     ("functions", "ternary_truncation", "terms"),
     ("functions", "k_series_phi", "trunc"),
     ("functions", "k_series_phi_array", "trunc"),
-    # dFa_da_fd and criterion 02 pass their own term counts
+    # kobayashi_terms_for and criterion 02 pass their own term counts
     ("functions", "kobayashi_truncation", "terms"),
     ("functions", "okamoto_series", "trunc"),
 }

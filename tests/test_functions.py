@@ -16,7 +16,6 @@ from okamoto_k.functions import (
     SeriesTruncation,
     big_phi,
     binary_truncation,
-    dFa_da_fd,
     hata_yamaguti_residual,
     k_exact,
     k_series_digits,
@@ -345,9 +344,11 @@ class TestKRoutes:
         assert k_series_phi(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_series_digits_values(self):
-        assert k_series_digits(expand_rational(Fraction(1, 3))) == pytest.approx(1.0)
-        assert k_series_digits(expand_rational(Fraction(1, 9))) == pytest.approx(2 / 3)
-        assert k_series_digits(expand_rational(Fraction(0))) == 0.0
+        assert k_series_digits(Fraction(1, 3)) == pytest.approx(1.0)
+        assert k_series_digits(Fraction(1, 9)) == pytest.approx(2 / 3)
+        assert k_series_digits(Fraction(0)) == 0.0
+        # x = 1 reads the all-2's expansion, whose partial sums tend to K(1) = 0
+        assert abs(k_series_digits(Fraction(1))) <= 1e-15
 
     def test_series_digits_is_the_exact_sum_rounded_once(self):
         # the digit series in Fractions, on digits by repeated multiplication
@@ -357,7 +358,8 @@ class TestKRoutes:
             q = rnd.randrange(1, 10**4)
             xs.append(Fraction(rnd.randrange(q), q))
         # a preperiod of 45 digits, past the 40 summed, one of 35 before a
-        # period of 8, and periods of 16 digits (three cycles) and of 100002
+        # period of 8, and periods of 16 digits and of 100002: the window
+        # reads 40 digits whatever the expansion's shape
         xs += [Fraction(2, 3**45), Fraction(1, 3**35 * 41), Fraction(5, 17)]
         xs.append(Fraction(99741, 100003))
         for x in xs:
@@ -369,15 +371,14 @@ class TestKRoutes:
                 ),
                 Fraction(0),
             )
-            assert k_series_digits(expand_rational(x)) == float(want), x
+            assert k_series_digits(x) == float(want), x
 
     @given(ternary_rationals)
     @settings(max_examples=300, deadline=None)
     def test_float_routes_match_exact(self, x):
         want = float(k_exact(x))
-        seq = expand_rational(x)
         assert k_series_phi(float(x)) == pytest.approx(want, abs=1e-12)
-        assert k_series_digits(seq) == pytest.approx(want, abs=1e-12)
+        assert k_series_digits(x) == pytest.approx(want, abs=1e-12)
 
     @given(ternary_rationals)
     @settings(max_examples=300)
@@ -398,16 +399,37 @@ class TestKRoutes:
 
 
 class TestParameterDerivative:
-    def test_limit_is_k_at_one_third(self):
-        assert dFa_da_fd(1 / 3, 1 / 3, 1e-5) == pytest.approx(1.0, abs=1e-4)
-        assert dFa_da_fd(1 / 3, 0.5, 1e-5) == pytest.approx(0.0, abs=1e-4)
-        assert dFa_da_fd(1 / 3, 2 / 3, 1e-5) == pytest.approx(-1.0, abs=1e-4)
+    def test_k_is_the_a_derivative_at_one_third(self):
+        # K = dF_a/da at a = 1/3: at each breakpoint k / 3^m the exact central
+        # difference of the level-m ordinates is within 1000 h^2 of K
+        a, h = Fraction(1, 3), Fraction(1, 10**12)
+        for m in range(7):
+            hi, lo = okamoto_iterative(a + h, m), okamoto_iterative(a - h, m)
+            for k in range(3**m + 1):
+                rise = (
+                    Fraction(hi.numerators[k], hi.denominator)
+                    - Fraction(lo.numerators[k], lo.denominator)
+                )
+                gap = abs(rise / (2 * h) - k_exact(Fraction(k, 3**m)))
+                assert gap <= 1000 * h**2, (k, m)
 
-    @pytest.mark.parametrize("h", [0.0, -0.0, -1e-6, math.nan])
-    def test_needs_a_positive_step(self, h):
-        # the difference quotient divides by 2h
-        with pytest.raises(DomainError, match=f"step h={h} must be > 0"):
-            dFa_da_fd(1 / 3, 0.5, h)
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "route",
+    [
+        k_exact,
+        expand_rational,
+        okamoto_iterative(Fraction(1, 3), 2),
+        partial(okamoto_iterative, level=2),
+    ],
+    ids=["k_exact", "expand_rational", "PiecewiseLinear", "okamoto_iterative"],
+)
+def test_exact_routes_refuse_non_finite_floats(route, x):
+    # the range check runs before the conversion to Fraction, which would
+    # raise ValueError or OverflowError
+    with pytest.raises(DomainError, match=f"{x} outside"):
+        route(x)
 
 
 def _twins(array_route, scalar_route, *args, **kwargs):

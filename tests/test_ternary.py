@@ -11,6 +11,7 @@ from okamoto_k.errors import DomainError, ResourceLimitError
 from okamoto_k.ternary import (
     DigitSeq,
     _digits,
+    _leading_digits,
     _period_length,
     expand_rational,
     walk_value,
@@ -156,6 +157,17 @@ class TestDigitEngine:
             for n in range(26):
                 want = naive_ternary_digits(Fraction(r, q), n)
                 assert list(_digits(r, q, n)) == want, (r, q)
+
+    def test_leading_digits_are_those_of_the_exact_value(self):
+        # floats at the ends of the double range, a float near 1/3, a
+        # preperiod longer than the window and a period of 100002 digits
+        xs = [0.0, -0.0, 5e-324, 2.0**-64, 1 / 3, 1 - 2.0**-53]
+        xs += [Fraction(2, 3**45), Fraction(99741, 100003)]
+        for x in xs:
+            want = naive_ternary_digits(Fraction(x), 40)
+            assert list(_leading_digits(x, 40)) == want, x
+        for one in (1.0, Fraction(1)):
+            assert _leading_digits(one, 40) == b"\2" * 40
 
     def test_period_length_is_the_order_of_three(self):
         for q in range(1, 3000):
