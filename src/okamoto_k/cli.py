@@ -40,6 +40,8 @@ from .dimension import (
 from .errors import DomainError, ResourceLimitError
 from .functions import (
     _SAMPLES_CAP,
+    _TERMS_CAP,
+    TERNARY_TERMS,
     hata_yamaguti_residual,
     k_series_phi_array,
     lebesgue_L_array,
@@ -55,7 +57,6 @@ SCHEMA_VERSION = 1
 OUTDIR_ENV = "OKAMOTO_K_OUTDIR"
 
 _POINT_BLOCK = 8192  # grid points that eval evaluates and formats at a time
-_TERMS_CAP = 1000  # K's weight 3^-n is 0.0 from term 680 on
 _DEFAULT_A = 1 / 3  # --a when not given, and eval's json "a" for every --fn
 
 Blocks = Iterable[tuple["np.ndarray", "np.ndarray"]]  # (xs, values) slices of a grid
@@ -223,12 +224,9 @@ def _json_points_doc(payload: dict, blocks: Blocks) -> str:
     return f"{head}[\n{body}\n  ]\n}}\n"
 
 
-def _k_route(terms: int | None):
-    """K's array route on ``terms`` terms of the sawtooth series, None for 40."""
-    if terms is not None and terms > _TERMS_CAP:
-        raise ResourceLimitError(f"{terms} series terms exceed cap of {_TERMS_CAP}")
-    trunc = ternary_truncation(terms) if terms is not None else None
-    return lambda xb: k_series_phi_array(xb, trunc)
+def _k_route(terms: int):
+    """K's array route on ``terms`` terms of the sawtooth series."""
+    return partial(k_series_phi_array, trunc=ternary_truncation(terms))
 
 
 def _kn_route(level: int):
@@ -249,7 +247,7 @@ _EVAL_FNS = {
     "okamoto": (
         "a", _DEFAULT_A, lambda a: partial(okamoto_series_array, a), (0.0, 1.0)
     ),
-    "K": ("terms", None, _k_route, (-1.5, 1.5)),
+    "K": ("terms", TERNARY_TERMS, _k_route, (-1.5, 1.5)),
     "Kn": ("level", 10, _kn_route, (-1.5, 1.5)),
 }
 
@@ -258,10 +256,10 @@ def _cmd_eval(args) -> str:
     n = args.samples
     if n < 2:
         raise DomainError("need --samples >= 2")
-    xs = sample_grid(n)
     option, default, make_route, (ylo, yhi) = _EVAL_FNS[args.fn]
     value = getattr(args, option) if option else None
     route = make_route(default if value is None else value)
+    xs = sample_grid(n)
     blocks = ((xb, route(xb)) for (xb,) in _point_blocks(xs))
     if args.format == "csv":
         return _csv_points(blocks)

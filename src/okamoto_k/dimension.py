@@ -2,7 +2,7 @@
 
 Closed-form and box-counted graph dimension of the family members, the
 entropy formula for digit-frequency sets, the mean-zero walk Monte Carlo
-behind the measure-zero result, and the cubic-root solve for the
+behind the measure-zero result, and Cardano's formula for the
 differentiability trichotomy boundary.  numpy is imported when called, by
 each function that computes with it.
 """
@@ -207,22 +207,11 @@ def crossing_probability_dp(horizon: int) -> float:
 
 
 def a0_root() -> float:
-    """Root of 54 a^3 - 27 a^2 = 1 in (1/2, 1), by bisection.
+    """Root of 54 a^3 - 27 a^2 = 1 in (1/2, 1), by Cardano's formula.
 
-    Stops at a residual below 1e-13 or after 200 halvings.
+    With a = (1 + c) / 6 the cubic is c^3 - 3c - 6 = 0, whose one real root
+    is c = cbrt(3 + 2 sqrt 2) + cbrt(3 - 2 sqrt 2).
     """
-
-    def f(a: float) -> float:
-        return 54 * a**3 - 27 * a**2 - 1
-
-    lo, hi = 0.5, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val) < 1e-13:
-            break
-        if val < 0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    root2 = math.sqrt(2)
+    c = (3 + 2 * root2) ** (1 / 3) + (3 - 2 * root2) ** (1 / 3)
+    return (1 + c) / 6

@@ -6,9 +6,10 @@ subdivision, and the digit series over the exact ternary digits of x), the
 parameter-derivative function K at a = 1/3 (three routes: the sawtooth
 series, the digit series and the exact rational sum).  Both digit series,
 F_a's and K's, read the digits of the exact value of x through one window,
-``ternary._leading_digits``.  The digit series of K is summed in one place,
-``_k_scaled``, on integers: ``k_series_digits`` rounds its value once, and
-the sigma split checks it against the sawtooth terms of ``_k_terms``.
+``ternary._leading_digits``, as ``ternary.expand_rational`` does.  The digit
+series of K is summed in one place, ``_k_scaled``, on integers:
+``k_series_digits`` rounds its value once, and the sigma split checks it
+against the sawtooth terms of ``_k_terms``.
 
 Every float evaluator carries an explicit truncation with a proven tail
 bound; ``k_exact`` and ``okamoto_iterative`` are the exact-rational
@@ -43,6 +44,7 @@ _ITERATIVE_CAP = 3**12 + 1
 # 2**28 (a = 1/10**1539, level 8) held 40 MB and took 0.5 s on one core
 _ITERATIVE_BITS = 2**28
 _SAMPLES_CAP = 10**6  # points of sample_grid
+_TERMS_CAP = 1000  # of ternary_truncation: K's weight 3^-n is 0.0 from term 680 on
 _LIMB_MASK = 2**60 - 1  # okamoto_series_array holds x * 2**120 in two limbs
 
 
@@ -64,9 +66,11 @@ def ternary_truncation(terms: int = TERNARY_TERMS) -> SeriesTruncation:
     """Truncation for sum 3^-n Phi(3^n x), n = 0..N-1.
 
     |Phi| <= 1, so the tail is at most sum_{n>=N} 3^-n = 1.5 * 3^-N; at
-    x = 3^-(N+1) it is exactly 3^-N.  A count below 1 raises DomainError;
-    the ``max`` keeps ``3.0 ** -N`` from overflowing before that check.
+    x = 3^-(N+1) it is exactly 3^-N.  A count above ``_TERMS_CAP`` raises
+    ResourceLimitError, and one below 1 DomainError (``max`` keeps 3.0**-N finite).
     """
+    if terms > _TERMS_CAP:
+        raise ResourceLimitError(f"{terms} series terms exceed cap of {_TERMS_CAP}")
     return SeriesTruncation(terms, 1.5 * 3.0 ** -max(terms, 1))
 
 def binary_truncation() -> SeriesTruncation:
@@ -339,10 +343,10 @@ def okamoto_series(
 def okamoto_series_array(a: float, xs) -> np.ndarray:
     """``okamoto_series`` at every point of xs, bit-identical to the scalar route.
 
-    For a double x >= 2**-64, x * 2**120 is an integer below 2**120, held in
-    two 60-bit uint64 limbs; each step triples them, and the carry out of the
-    top limb is the digit.  Below 2**-64 < 3**-40 the 40 digits are 0, and 1.0
-    is held as 1 - 2**-120, whose first 75 digits are 2.
+    Two 60-bit uint64 limbs hold y = floor(x * 2**120), 2**120 - 1 at x = 1
+    (75 leading 2's); each step triples them, and the carry out of the top
+    limb is the digit.  y = x * 2**120 for x >= 2**-64, and below 2**-64,
+    y < 2**56 < 2**120 * 3**-40, so the 40 carries are 0, as the digits are.
     """
     import numpy as np
     _check_a(a)
@@ -351,7 +355,7 @@ def okamoto_series_array(a: float, xs) -> np.ndarray:
     x = _unit_array(xs)
     frac, top = np.modf(x * 2.0**60)  # both exact
     hi = top.astype(np.uint64)
-    lo = np.where(x >= 2.0**-64, frac * 2.0**60, 0.0).astype(np.uint64)
+    lo = (frac * 2.0**60).astype(np.uint64)
     hi[x == 1] = lo[x == 1] = _LIMB_MASK
     total = np.zeros_like(x)
     prod = np.ones_like(x)
@@ -370,11 +374,12 @@ def okamoto_series_array(a: float, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the parameter derivative K at a = 1/3, three routes
 
+_K_TRUNCATION = ternary_truncation()  # K's sawtooth routes called without a trunc
 
-def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
+
+def k_series_phi(x: float, trunc: SeriesTruncation = _K_TRUNCATION) -> float:
     """K via the sawtooth series sum_n 3^-n Phi(3^n x)."""
     _check_point(x)
-    trunc = trunc or ternary_truncation()
     total = 0.0
     y = x
     w = 1.0
@@ -385,7 +390,7 @@ def k_series_phi(x: float, trunc: SeriesTruncation | None = None) -> float:
     return total
 
 
-def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
+def k_series_phi_array(xs, trunc: SeriesTruncation = _K_TRUNCATION) -> np.ndarray:
     """``k_series_phi`` at every point of xs, bit-identical to the scalar route.
 
     The tripling step takes ``z - floor(z)`` where the scalar route takes
@@ -399,7 +404,7 @@ def k_series_phi_array(xs, trunc: SeriesTruncation | None = None) -> np.ndarray:
     y = _unit_array(xs)
     total = np.zeros_like(y)
     w = 1.0
-    for _ in range((trunc or ternary_truncation()).terms):
+    for _ in range(trunc.terms):
         f = y - np.floor(y)
         total += w * np.where(
             f <= 1 / 3, 3 * f, np.where(f <= 2 / 3, 3 * (1 - 2 * f), 3 * (f - 1))

@@ -168,20 +168,18 @@ def expand_rational(x: Fraction | int) -> DigitSeq:
     With x = r/q in lowest terms and q = 3**s * q', 3 not dividing q', the
     preperiod is the first s digits.  The remainder after them is 3**s times
     a residue prime to q', which each digit triples, so it first returns
-    after L = ord_q'(3) digits, and exactly s + L digits are made, none
-    when L is over ``_PERIOD_CAP``, which raises ResourceLimitError.
+    after L = ord_q'(3) digits (1 at x = 1), and ``_leading_digits`` makes
+    exactly s + L digits; an L over ``_PERIOD_CAP`` raises ResourceLimitError first.
     """
     _check_point(x)
     x = Fraction(x)
-    if x == 1:
-        return DigitSeq(b"", b"\2", x)
     s, rest = _split_threes(x.denominator)
     length = _period_length(rest)
     if length is None:
         raise ResourceLimitError(
             f"period of {_named(x, 'x', '{}')} exceeds cap of {_PERIOD_CAP} digits"
         )
-    digits = _digits(x.numerator, x.denominator, s + length)
+    digits = _leading_digits(x, s + length)
     return DigitSeq(digits[:s], digits[s:], x)
 
 

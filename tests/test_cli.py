@@ -28,6 +28,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _no_grid(n):
+    # eval checks the term count before it allocates the grid
+    raise AssertionError("sample_grid called before the term count was checked")
+
+
 class TestEval:
     def test_k_three_samples_csv(self, capsys):
         code, out, _ = run(capsys, "eval", "--fn", "K", "--samples", "3")
@@ -96,7 +101,8 @@ class TestEval:
             ["--fn", "Kn", "--level", "-100000"],
         ],
     )
-    def test_no_terms_left(self, capsys, argv):
+    def test_no_terms_left(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "sample_grid", _no_grid)
         code, out, err = run(capsys, "eval", *argv, "--samples", "3")
         assert code == 3
         assert out == ""
@@ -111,7 +117,8 @@ class TestEval:
         ],
         ids=["K", "Kn"],
     )
-    def test_term_cap(self, capsys, argv, message):
+    def test_term_cap(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "sample_grid", _no_grid)
         code, out, err = run(capsys, "eval", *argv, "--samples", "3")
         assert code == 4
         assert out == ""

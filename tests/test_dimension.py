@@ -231,3 +231,10 @@ class TestRootSolve:
     def test_bracket_signs(self):
         f = lambda a: 54 * a**3 - 27 * a**2 - 1
         assert f(0.5) < 0 < f(1.0)
+
+    def test_float_neighbours_bracket_the_root(self):
+        # the cubic rises on (1/2, 1), so the exact root lies between the
+        # two doubles next to a0, evaluated without rounding
+        f = lambda a: 54 * Fraction(a) ** 3 - 27 * Fraction(a) ** 2 - 1
+        a0 = a0_root()
+        assert f(math.nextafter(a0, 0)) < 0 < f(math.nextafter(a0, 1))

@@ -94,6 +94,13 @@ class TestBuildingBlocks:
         with pytest.raises(DomainError):
             SeriesTruncation(5, -1.0)
 
+    def test_ternary_term_cap(self):
+        assert ternary_truncation(1000).terms == 1000
+        with pytest.raises(ResourceLimitError) as exc:
+            ternary_truncation(1001)
+        # the message that eval --fn K --terms 1001 prints
+        assert str(exc.value) == "1001 series terms exceed cap of 1000"
+
     @pytest.mark.parametrize("terms", range(1, 6))
     def test_ternary_tail_bound_is_reached(self, terms):
         # at x = 3^-(N+1) every dropped term but one vanishes, and that
@@ -489,8 +496,8 @@ def _uniform_bit_patterns(n: int, seed: int) -> np.ndarray:
 # bit-pattern draws plus the largest double below 1, the least subnormal,
 # -0.0 and 0.5 with its two neighbours, where the steps z - floor(z) and
 # z % 1.0 of the array and scalar routes meet their edge cases, and 2**-64
-# with its lower neighbour, the least double okamoto holds in limbs and the
-# greatest it reads as 40 zero digits
+# with its lower neighbour, the least double whose x * 2**120 okamoto's limbs
+# hold exactly and the greatest whose limbs hold its floor
 BIT_PATTERNS = np.concatenate(
     [
         _uniform_bit_patterns(10**4, seed=31),
