@@ -52,8 +52,8 @@ def classify_point(x: DigitSeq) -> DerivativeClass:
 def secant_slope(x: DigitSeq, n: int) -> Fraction:
     """Exact slope of K over the level-n ternary interval containing x.
 
-    With u = floor(3^n x)/3^n and v = u + 3^-n, returns
-    (K(v) - K(u)) / (v - u), computed from the exact rational K.
+    With u = floor(3^n x)/3^n and v = u + 3^-n, returns (K(v) - K(u)) / (v - u),
+    the difference of the integers 3^n K(v) and 3^n K(u) from the exact K.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -61,7 +61,9 @@ def secant_slope(x: DigitSeq, n: int) -> Fraction:
         raise DomainError("x = 1 has no level-n interval to the right")
     scale = 3**n
     k = x.value.numerator * scale // x.value.denominator  # floor(3^n x)
-    return (k_exact(Fraction(k + 1, scale)) - k_exact(Fraction(k, scale))) * scale
+    ends = (k_exact(Fraction(k + 1, scale)), k_exact(Fraction(k, scale)))
+    high, low = (e.numerator * (scale // e.denominator) for e in ends)
+    return Fraction(high - low)
 
 
 @dataclass(frozen=True)

@@ -471,7 +471,7 @@ def k_exact(x: Fraction) -> Fraction:
     3**m; this is the oracle for every float route.
     """
     _check_point(x)
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)  # a Fraction is not copied
     m = _ternary_order(x)
     return Fraction(sum(_k_terms(x.numerator, m)), 3**m)
 

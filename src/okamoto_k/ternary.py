@@ -11,22 +11,26 @@ time: one integer division ``divmod(r * 3**8, q)`` yields a number below
 3**8, whose eight digits are read from a table built at import.  With
 q = 3**s * q', 3 not dividing q', the first s digits are the preperiod and
 the period length is the order of 3 modulo q', which ``_period_length``
-finds before any digit is made, eight powers of 3 per step.
+finds from the prime powers that divide q' before any digit is made.
 
 Digits are held as ``bytes``, one byte per digit, from ``_digits`` through
 ``DigitSeq`` to the walk and the json writer, so that checking, counting
-and converting them each run in C over the whole string.
+and converting them each run in C over the whole string.  ``DigitSeq``
+checks them against its value by long division's remainders, in linear time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
 
 from .errors import DomainError, ResourceLimitError
 
 _PERIOD_CAP = 10**6  # digits of a period that expand_rational computes
+_TRIAL = 2**15  # trial divisors of q' stop below this; 1000000007 < _TRIAL**2
 _DIGITS = b"\0\1\2"
 _GROUP = 8  # digits per integer division
 # joining 81 four-digit halves builds the table 3 times faster than 6561 bytes()
@@ -48,8 +52,8 @@ def _named(x, name: str, template: str) -> str:
 
 
 def _check_point(x) -> None:
-    """Raise DomainError unless the point x lies in [0, 1]."""
-    if not 0 <= x <= 1:
+    """Raise DomainError unless the point x lies in [0, 1], a Fraction on integers."""
+    if not (0 <= x.numerator <= x.denominator if type(x) is Fraction else 0 <= x <= 1):
         raise DomainError(f"{_named(x, 'x', '{}')} outside [0, 1]")
 
 
@@ -71,13 +75,35 @@ def _leading_digits(x, n: int) -> bytes:
     return b"\2" * n if r == q else _digits(r, q, n)
 
 
-def _period_length(q: int) -> int | None:
-    """The order of 3 modulo q, 3 not dividing q: the least L >= 1 with
-    3**L = 1 (mod q); None when it exceeds ``_PERIOD_CAP``.
+def _factors(n: int) -> Iterator[int]:
+    """The prime factors of n >= 1 in increasing order, each as often as it
+    divides n, by trial division below ``_TRIAL``; only a last factor of at
+    least ``_TRIAL**2`` can be composite."""
+    pairs = zip(range(5, _TRIAL, 6), range(7, _TRIAL, 6))  # each 6k -+ 1
+    for p in chain((2, 3), chain.from_iterable(pairs)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            yield p
+    if n > 1:
+        yield n
 
+
+def _prime_order(p: int) -> int:
+    """The order of 3 modulo a prime p other than 3, below ``_TRIAL**2``:
+    p - 1 divided by each prime factor f of p - 1 while 3 reaches 1 there."""
+    order = p - 1
+    for f in set(_factors(p - 1)):
+        while order % f == 0 and pow(3, order // f, p) == 1:
+            order //= f
+    return order
+
+
+def _order_search(q: int) -> int | None:
+    """The order of 3 modulo q, 3 not dividing q, by search; None over the cap.
     3**(8k) = 3**-t (mod q), t in 1..8, exactly when the order divides
-    8k + t, so the first k with a match, at its smallest t, gives the order.
-    """
+    8k + t, so the first k with a match, at its smallest t, gives the order."""
     first = {pow(3, -t, q): t for t in range(_GROUP, 0, -1)}  # smallest t kept
     step, power = pow(3, _GROUP, q), 1 % q
     for base in range(0, _PERIOD_CAP, _GROUP):
@@ -86,6 +112,35 @@ def _period_length(q: int) -> int | None:
             return base + t if base + t <= _PERIOD_CAP else None
         power = power * step % q
     return None
+
+
+def _period_length(q: int) -> int | None:
+    """The order of 3 modulo q, 3 not dividing q: the least L >= 1 with
+    3**L = 1 (mod q); None when it exceeds ``_PERIOD_CAP``.
+
+    It is the lcm of the orders modulo the prime powers p**e dividing q,
+    which ``_factors`` gives one power of p at a time.  The order modulo p
+    comes from the factors of p - 1; modulo p**(k+1) it is the order modulo
+    p**k or p times it (3**5 = 1 modulo both 11 and 121).  Each divides the
+    order modulo q, so the first lcm over the cap refuses.  A cofactor with
+    no prime factor below ``_TRIAL`` goes to ``_order_search``.
+    """
+    length, last = 1, None
+    for p in _factors(q):
+        if p == last:
+            power *= p
+            if pow(3, order, power) != 1:
+                order *= p
+        elif p < _TRIAL**2:
+            last, power, order = p, p, _prime_order(p)
+        else:
+            order = _order_search(p)
+            if order is None:
+                return None
+        length = lcm(length, order)
+        if length > _PERIOD_CAP:
+            return None
+    return length
 
 
 def _split_threes(q: int) -> tuple[int, int]:
@@ -105,27 +160,26 @@ def _ternary_order(x: Fraction) -> int:
     return m
 
 
-def _digits_value(text: bytes, lo: int, hi: int) -> int:
-    """The integer whose base-3 numeral is text[lo:hi].
+def _expands(text: bytes, s: int, x: Fraction) -> bool:
+    """Whether x is the value of the expansion whose base-3 numeral is text,
+    of which the first s digits are the preperiod and the rest the period.
 
-    Halving the range keeps the cost near that of one multiplication of
-    the full-size integers, where parsing the whole numeral at once is
-    quadratic; ``int`` parses each leaf of up to ``_LEAF`` digits.
+    With x = r/q, reading c digits of value D takes r to 3**c * r - q * D,
+    and the tail after them is r/q.  The remainder after the preperiod P
+    comes back after the period B of L digits exactly when x = P/3**s +
+    B/(3**s * (3**L - 1)).  Every tail lies in [0, 1], so a remainder outside
+    [0, q] rejects at once.  A step reads ``_LEAF`` digits, linear in q's size.
     """
-    if hi - lo <= _LEAF:
-        return int(text[lo:hi] or b"0", 3)
-    mid = (lo + hi) // 2
-    high = _digits_value(text, lo, mid)
-    return high * 3 ** (hi - mid) + _digits_value(text, mid, hi)
-
-
-def _reconstruct(text: bytes, s: int) -> Fraction:
-    """The value of the expansion whose base-3 numeral is text, of which the
-    first s digits are the preperiod and the rest the period."""
-    pre = _digits_value(text, 0, s)
-    cycle = 3 ** (len(text) - s) - 1
-    block = _digits_value(text, s, len(text))
-    return Fraction(pre * cycle + block, 3**s * cycle)
+    r, q = x.numerator, x.denominator
+    tails = []
+    for lo, hi in ((0, s), (s, len(text))):
+        for a in range(lo, hi, _LEAF):
+            b = min(a + _LEAF, hi)
+            r = 3 ** (b - a) * r - q * int(text[a:b], 3)
+            if not 0 <= r <= q:
+                return False
+        tails.append(r)
+    return tails[0] == tails[1]
 
 
 @dataclass(frozen=True)
@@ -136,8 +190,8 @@ class DigitSeq:
     one byte per digit; the period is nonempty and repeats forever.
     Terminating expansions, x = 0 among them, carry the explicit one-digit
     period 0.  Anything else, a tuple or bytearray of digits or an empty
-    period, raises DomainError, as do a byte above 2 and digits that do not
-    rebuild ``value``.
+    period, raises DomainError, as do a byte above 2 and digits whose value
+    is not ``value``, which ``_expands`` decides on integers.
     """
 
     preperiod: bytes
@@ -154,7 +208,7 @@ class DigitSeq:
         bad = digits.translate(None, _DIGITS)  # one pass in C
         if bad:
             raise DomainError(f"digit {bad[0]} outside {{0,1,2}}")
-        if _reconstruct(digits.translate(_DIGIT_TEXT), len(pre)) != self.value:
+        if not _expands(digits.translate(_DIGIT_TEXT), len(pre), self.value):
             raise DomainError("digits do not reconstruct the stored value")
 
 

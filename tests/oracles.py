@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own code paths: digits
-come from plain long division, F_a from a digit sum in integer fixed point,
-crossing probabilities from exhaustive enumeration, entropy values from
-mpmath high-precision arithmetic, the subdivision graph from Fraction
-arithmetic, walks from numpy doubles, csv/svg text from one f-string per
-point, and json text from the standard library's indent encoder.
+come from plain long division, the value of an expansion from one Fraction
+of its numerals, the order of 3 from stepping through its powers, F_a from
+a digit sum in integer fixed point, crossing probabilities from exhaustive
+enumeration, entropy values from mpmath high-precision arithmetic, the
+subdivision graph from Fraction arithmetic, walks from numpy doubles,
+csv/svg text from one f-string per point, and json text from the standard
+library's indent encoder.
 """
 
 from __future__ import annotations
@@ -30,6 +32,38 @@ def naive_ternary_digits(x: Fraction, n: int) -> list[int]:
         digits.append(d)
         y -= d
     return digits
+
+
+def _numeral_value(text: bytes) -> int:
+    """The integer whose base-3 numeral is text, parsed in halves: ``int``
+    refuses a numeral of over 4300 digits."""
+    if len(text) <= 512:
+        return int(text or b"0", 3)
+    mid = len(text) // 2
+    return _numeral_value(text[:mid]) * 3 ** (len(text) - mid) + _numeral_value(
+        text[mid:]
+    )
+
+
+def expansion_value(preperiod: bytes, period: bytes) -> Fraction:
+    """The value of the ternary expansion ``preperiod`` then ``period`` forever,
+    digits one byte each: (P (3^L - 1) + B) / (3^s (3^L - 1)) for the s-digit
+    preperiod P and the L-digit period B, as one Fraction."""
+    to_text = bytes.maketrans(b"\0\1\2", b"012")
+    pre, block = (_numeral_value(d.translate(to_text)) for d in (preperiod, period))
+    cycle = 3 ** len(period) - 1
+    return Fraction(pre * cycle + block, 3 ** len(preperiod) * cycle)
+
+
+def order_of_three(q: int, cap: int) -> int | None:
+    """The least L >= 1 with 3^L = 1 modulo q, 3 not dividing q, by stepping
+    through the powers of 3; None when it exceeds cap."""
+    order, power = 1, 3 % q
+    while power != 1 % q:
+        if order == cap:
+            return None
+        order, power = order + 1, power * 3 % q
+    return order
 
 
 OKAMOTO_TARGET = 1e-17  # bound on the terms okamoto_value leaves out

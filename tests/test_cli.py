@@ -124,6 +124,23 @@ class TestEval:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_help_states_the_term_caps_and_defaults(self, capsys, monkeypatch):
+        # the help is formatted from the constants, so it follows them
+        def eval_help():
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(["eval", "-h"])
+            return " ".join(capsys.readouterr().out.split())
+
+        assert "terms for K only, at most 1000, default 40" in eval_help()
+        assert "level for Kn only, at most 999, default 10" in eval_help()
+        monkeypatch.setattr(cli, "_TERMS_CAP", 77)
+        monkeypatch.setattr(cli, "TERNARY_TERMS", 12)
+        kn = cli._EVAL_FNS["Kn"]
+        monkeypatch.setitem(cli._EVAL_FNS, "Kn", (kn[0], 5, *kn[2:]))
+        text = eval_help()
+        assert "terms for K only, at most 77, default 12" in text
+        assert "level for Kn only, at most 76, default 5" in text
+
     @pytest.mark.parametrize(
         "argv",
         [["--fn", "K", "--terms", "100000000"], ["--fn", "Kn", "--level", "100000000"]],

@@ -17,7 +17,7 @@ from okamoto_k.ternary import (
     walk_value,
 )
 
-from oracles import naive_ternary_digits
+from oracles import expansion_value, naive_ternary_digits, order_of_three
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**4)
 
@@ -169,13 +169,61 @@ class TestDigitEngine:
         for one in (1.0, Fraction(1)):
             assert _leading_digits(one, 40) == b"\2" * 40
 
-    def test_period_length_is_the_order_of_three(self):
-        for q in range(1, 3000):
+    def test_period_length_is_the_order_of_three(self, monkeypatch):
+        # every q' below 20000, with orders on both sides of a lowered cap
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", 500)
+        for q in range(1, 20000):
             if q % 3:
-                order, power = 1, 3 % q
-                while power != 1 % q:
-                    order, power = order + 1, power * 3 % q
-                assert _period_length(q) == order, q
+                assert _period_length(q) == order_of_three(q, 500), q
+
+    def test_period_length_lifts_each_prime_power(self, monkeypatch):
+        # 3**5 = 1 modulo both 11 and 121, so the order does not grow there;
+        # 2**k and 5**k * 7 cross the cap as k grows
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", 5000)
+        for q in [11**k for k in range(1, 8)] + [2**k for k in range(1, 20)] + [
+            5**k * 7 for k in range(8)
+        ]:
+            assert _period_length(q) == order_of_three(q, 5000), q
+
+    def test_period_length_factored_and_searched(self, monkeypatch):
+        # a q' below _TRIAL**2 is factored whole; a cofactor with no prime
+        # factor below _TRIAL and at least _TRIAL**2 goes to the search.  The
+        # cofactors below divide 3**L - 1 for some L <= 56, so they are found
+        searched = []
+
+        def search(q):
+            searched.append(q)
+            return order_search(q)
+
+        order_search = ternary._order_search
+        monkeypatch.setattr(ternary, "_order_search", search)
+        monkeypatch.setattr(ternary, "_PERIOD_CAP", 3000)
+        cofactors = [2413941289, 2664097031, 6738041941, 37086475213, 317733228541]
+        qs = cofactors + [2 * c for c in cofactors] + [7 * 41 * c for c in cofactors]
+        rng = random.Random(29)
+        qs += [q for q in (rng.randrange(1, 10**12) for _ in range(300)) if q % 3]
+        for q in qs:
+            assert _period_length(q) == order_of_three(q, 3000), q
+        assert set(cofactors) <= set(searched)
+        assert all(q >= ternary._TRIAL**2 for q in searched)
+
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            (Fraction(1, 10**4000), "x with a 13288-bit denominator"),
+            (Fraction(1, 1000000007), "1/1000000007"),
+        ],
+    )
+    def test_long_periods_refused_without_the_search(self, monkeypatch, x, message):
+        # 2**4000 alone gives an order over the cap, and 1000000007 is below
+        # _TRIAL**2, so neither refusal waits on the search
+        def search(q):
+            raise AssertionError(f"searched for the order modulo {q}")
+
+        monkeypatch.setattr(ternary, "_order_search", search)
+        with pytest.raises(ResourceLimitError) as exc:
+            expand_rational(x)
+        assert str(exc.value) == f"period of {message} exceeds cap of 1000000 digits"
 
 
 class TestDigitSeqValidation:
@@ -237,13 +285,73 @@ class TestDigitSeqValidation:
     @pytest.mark.parametrize("x", [Fraction(7, 10**4), Fraction(7, 3 * 10**4)])
     @pytest.mark.parametrize("pos", [0, 250, 499])
     def test_long_period_changed_digit_rejected(self, x, pos):
-        # periods of 500 digits take the halving path of the reconstruction
+        # a changed digit at either end or the middle of a 500-digit period
         seq = expand_rational(x)
         assert DigitSeq(seq.preperiod, seq.period, seq.value) == seq
         period = bytearray(seq.period)
         period[pos] = (period[pos] + 1) % 3
         with pytest.raises(DomainError, match="digits do not reconstruct the stored value"):
             DigitSeq(seq.preperiod, bytes(period), seq.value)
+
+
+    @pytest.mark.parametrize("q", [100003, 2**17, 3**5 * 1009])
+    def test_periods_read_in_many_leaves(self, q):
+        # periods of 100002, 32768 and 1008 digits, read _LEAF digits at a
+        # time; a digit changed in the preperiod, a middle leaf or the last
+        seq = expand_rational(Fraction(q // 3 + 1, q))
+        assert DigitSeq(seq.preperiod, seq.period, seq.value) == seq
+        digits = seq.preperiod + seq.period
+        for pos in {0, len(seq.preperiod), len(digits) // 2, len(digits) - 1}:
+            changed = bytearray(digits)
+            changed[pos] = (changed[pos] + 1) % 3
+            pre, period = changed[: len(seq.preperiod)], changed[len(seq.preperiod) :]
+            with pytest.raises(DomainError, match="do not reconstruct"):
+                DigitSeq(bytes(pre), bytes(period), seq.value)
+
+    def test_accepts_what_the_value_of_the_digits_gives(self):
+        # DigitSeq accepts exactly the digits whose value, as one Fraction,
+        # is the stored value: expansions changed in ways that keep the value
+        # and in ways that do not, and values outside [0, 1]
+        rng = random.Random(29)
+        kept = 0
+        for trial in range(3000):
+            rest = 100003 if trial % 50 == 0 else rng.randrange(1, 2000)
+            q = 3 ** rng.randrange(4) * rest  # rest 100003: a period of 100002 digits
+            x = Fraction(rng.randrange(q + 1), q)
+            seq = expand_rational(x)
+            pre, period, value = seq.preperiod, seq.period, x
+            kind = rng.randrange(8)
+            if kind == 0:  # a digit changed
+                digits = bytearray(pre + period)
+                pos = rng.randrange(len(digits))
+                digits[pos] = (digits[pos] + rng.randrange(1, 3)) % 3
+                pre, period = bytes(digits[: len(pre)]), bytes(digits[len(pre) :])
+            elif kind == 1:  # the period repeated
+                period *= rng.randrange(2, 4)
+            elif kind == 2:  # periods unrolled into the preperiod
+                turns = rng.randrange(1, 2 * len(period) + 1)
+                pre += (period * (turns // len(period) + 1))[:turns]
+                period = period[turns % len(period) :] + period[: turns % len(period)]
+            elif kind == 3:  # the 2's twin of a terminating value in (0, 1)
+                value = Fraction(rng.randrange(1, 3**6), 3**6)
+                pre = expand_rational(value).preperiod  # its last digit is not 0
+                pre, period = pre[:-1] + bytes([pre[-1] - 1]), b"\2"
+            elif kind == 4:  # a value off by a little
+                value += Fraction(rng.choice([-1, 1]), rng.choice([q, 3 * q, q * q]))
+            elif kind == 5:  # a value outside [0, 1]
+                value = rng.choice([value + 1, value - 1, -value - 1, 2 * value + 1])
+            elif kind == 6:  # digits of another value
+                other = expand_rational(Fraction(rng.randrange(q + 1), q))
+                pre, period = other.preperiod, other.period
+            try:
+                DigitSeq(pre, period, value)
+                accepted = True
+            except DomainError as exc:
+                assert str(exc) == "digits do not reconstruct the stored value"
+                accepted = False
+            assert accepted == (expansion_value(pre, period) == value), (x, kind)
+            kept += accepted
+        assert 1000 < kept < 2500  # both answers are well represented
 
 
 class TestWalkAndWeight:
