@@ -4,9 +4,9 @@
 Each call runs in a fresh interpreter on the library in this checkout's
 ``src/``.  A line reads ``sha1[:10]  argv``, the SHA-1 of the call's stdout
 followed by its stderr, with ``(exit N)`` after a call that fails.  The
-list covers every command, format and failing exit code, so running the
-script at two commits and diffing the two outputs shows whether a change
-kept every output byte:
+list covers every command, format, failing exit code and help text, so
+running the script at two commits and diffing the two outputs shows
+whether a change kept every output byte:
 
     python3 scripts/output_digests.py > after.txt
 
@@ -137,7 +137,15 @@ CAP = [
     "construct --a 1e-4000 --level 12",
     "experiment box-dim --a 1e-4000 --levels 10",
 ]
-CALLS = EXPERIMENTS + CLASSIFY + CONSTRUCT + EVAL + USAGE + DOMAIN + CAP
+# the help text of every parser
+HELP = ["-h"] + [
+    f"{command} -h"
+    for command in (
+        "eval", "construct", "classify", "experiment", "experiment box-dim",
+        "experiment walk-mc", "experiment sigma-fuzz", "experiment hata-yamaguti",
+    )
+]
+CALLS = EXPERIMENTS + CLASSIFY + CONSTRUCT + EVAL + USAGE + DOMAIN + CAP + HELP
 
 
 def digest(call: str) -> str:

@@ -370,19 +370,16 @@ def _build_parser() -> argparse.ArgumentParser:
         f"default {_EVAL_FNS['Kn'][1]}",
     )
     p_eval.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p_eval.add_argument("--output", default=None)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_con = sub.add_parser("construct", help="exact subdivision approximant f_n")
     p_con.add_argument("--a", required=True, help='rational parameter, e.g. "2/5"')
     p_con.add_argument("--level", type=int, required=True)
     p_con.add_argument("--format", choices=("csv", "json", "svg"), default="json")
-    p_con.add_argument("--output", default=None)
     p_con.set_defaults(func=_cmd_construct)
 
     p_cls = sub.add_parser("classify", help="infinite-derivative verdict for p/q")
     p_cls.add_argument("x", help='rational point, e.g. "1/4"')
-    p_cls.add_argument("--output", default=None)
     p_cls.set_defaults(func=_cmd_classify)
 
     p_exp = sub.add_parser("experiment", help="run a reproducible experiment")
@@ -405,8 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hata.add_argument("--grid", type=int, default=100, help="grid intervals")
     p_hata.add_argument("--step", type=float, default=1e-6, help="step h in a")
     p_hata.set_defaults(run=_run_hata_yamaguti)
-    for p_run in (p_box, p_walk, p_sigma, p_hata):
-        p_run.add_argument("--output", default=None)
+    for p_cmd in (p_eval, p_con, p_cls, p_box, p_walk, p_sigma, p_hata):
+        p_cmd.add_argument("--output", default=None)
 
     return parser
 

@@ -35,13 +35,14 @@ def period_drift(x: DigitSeq) -> int:
 
 
 def classify_point(x: DigitSeq) -> DerivativeClass:
-    """Infinite-derivative verdict for an eventually periodic expansion.
+    """Infinite-derivative verdict for an eventually periodic expansion."""
+    return _drift_class(period_drift(x))
 
-    W(n) tends to +-inf iff the drift over one period is nonzero with
+
+def _drift_class(drift: int) -> DerivativeClass:
+    """W(n) tends to +-inf iff the drift over one period is nonzero with
     that sign; zero drift keeps W bounded, so no infinite derivative
-    (and, by nowhere-differentiability, no derivative at all).
-    """
-    drift = period_drift(x)
+    (and, by nowhere-differentiability, no derivative at all)."""
     if drift > 0:
         return DerivativeClass.PLUS_INFINITY
     if drift < 0:
@@ -219,10 +220,11 @@ def classification_report(x: Fraction) -> dict:
     byte per digit, which the writer lays out as lists of digits.
     """
     seq = expand_rational(x)
+    drift = period_drift(seq)
     return {
         "x": f"{x.numerator}/{x.denominator}",
         "expansion": {"preperiod": seq.preperiod, "period": seq.period},
-        "drift": period_drift(seq),
-        "verdict": classify_point(seq).value,
+        "drift": drift,
+        "verdict": _drift_class(drift).value,
         "walk_prefix": [walk_value(seq, n) for n in range(1, _WALK_PREFIX + 1)],
     }

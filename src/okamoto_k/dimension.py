@@ -180,30 +180,24 @@ def crossing_probability_dp(horizon: int) -> float:
     Dynamic program over walk states, kept separate from the Monte Carlo
     path: survival means staying strictly positive (after an up first
     step) or strictly negative (after a down first step) for the whole
-    horizon; the crossing probability is 1 minus both survivals.
+    horizon; the crossing probability is 1 minus both survivals.  No step
+    changes the sign of W without touching or passing 0, so one array
+    indexed by W + 2 * horizon holds both, and each step drops the three
+    moves onto or over 0: up from -1, and down from 1 and from 2.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     import numpy as np
-    up, down = 2.0 / 3.0, 1.0 / 3.0
-    # survive positive: state = W value >= 1
-    pos = np.zeros(horizon + 3)
-    pos[1] = up
-    for _ in range(horizon - 1):
-        nxt = np.zeros_like(pos)
-        nxt[2:] += pos[1:-1] * up  # +1 step
-        nxt[1:-2] += pos[3:] * down  # -2 step; landing <= 0 absorbs
-        pos = nxt
-    # survive negative: state = -W value >= 1 (W <= -1); +1 step moves toward 0
-    neg = np.zeros(horizon * 2 + 4)
-    neg[2] = down
-    for _ in range(horizon - 1):
-        nxt = np.zeros_like(neg)
-        nxt[1:-1] += neg[2:] * up  # W +1: magnitude -1; reaching 0 absorbs
-        nxt[3:] += neg[1:-2] * down  # W -2: magnitude +2
-        nxt[0] = 0.0
-        neg = nxt
-    return 1.0 - float(pos.sum() + neg.sum())
+    zero = 2 * horizon  # index of W = 0
+    mass = np.zeros(3 * horizon + 1)  # W from -2 * horizon to horizon
+    mass[zero] = 1.0
+    for _ in range(horizon):
+        down = mass[2:] * (1.0 / 3.0)  # -2 step: index i gets i + 2
+        down[zero - 1 : zero + 1] = 0.0  # down from 1 and from 2
+        mass[1:] = mass[:-1] * (2.0 / 3.0)  # +1 step
+        mass[0] = mass[zero] = 0.0  # nothing steps up to index 0; up from -1
+        mass[:-2] += down
+    return 1.0 - float(mass.sum())
 
 
 def a0_root() -> float:

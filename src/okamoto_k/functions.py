@@ -28,6 +28,7 @@ numpy imports it when called, so importing this module does not load it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,7 +104,7 @@ def kobayashi_terms_for(a: float, target: float) -> int:
     """Least N >= 1 with ``kobayashi_truncation(a, N).tail_bound <= target``.
 
     The target must be > 0.  The bound never rises with N and is 0.0 once
-    r^N underflows, so N is bracketed by doubling and then bisected.
+    r^N underflows, so N is bracketed by doubling and then found by ``bisect``.
     """
     if not target > 0:
         raise DomainError(f"target={target} must be > 0")
@@ -114,14 +115,8 @@ def kobayashi_terms_for(a: float, target: float) -> int:
     hi = 1
     while not meets(hi):
         hi *= 2
-    lo = hi // 2  # 0, or a count that misses the target
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo = hi // 2 + 1  # hi // 2 is 0, or a count that misses the target
+    return lo + bisect_left(range(lo, hi + 1), True, key=meets)
 
 
 # ---------------------------------------------------------------------------

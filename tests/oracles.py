@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's own code paths: digits
 come from plain long division, the value of an expansion from one Fraction
 of its numerals, the order of 3 from stepping through its powers, F_a from
 a digit sum in integer fixed point, crossing probabilities from exhaustive
-enumeration, entropy values from mpmath high-precision arithmetic, the
-subdivision graph from Fraction arithmetic, walks from numpy doubles,
-csv/svg text from one f-string per point, and json text from the standard
-library's indent encoder.
+enumeration and from counting the digit strings that never cross, entropy
+values from mpmath high-precision arithmetic, the subdivision graph from
+Fraction arithmetic, walks from numpy doubles, csv/svg text from one
+f-string per point, and json text from the standard library's indent
+encoder.
 """
 
 from __future__ import annotations
@@ -116,6 +117,27 @@ def crossing_probability_enum(horizon: int) -> float:
         if lo <= 0 <= hi:
             crossed += 1
     return crossed / 3**horizon
+
+
+def crossing_probabilities_exact(max_horizon: int) -> list[Fraction]:
+    """Exact crossing probabilities at horizons 1..max_horizon, as Fractions.
+
+    ``alive`` maps each value of W to the number of digit strings that reach
+    it without crossing: the first step leaves W at 1 (digits 0 and 2) or
+    at -2 (digit 1), and a later step keeps a string only while W keeps its
+    sign, so a value of 0 or of the other sign drops it.
+    """
+    alive = {1: 2, -2: 1}
+    probabilities = []
+    for n in range(1, max_horizon + 1):
+        probabilities.append(1 - Fraction(sum(alive.values()), 3**n))
+        later = {}
+        for w, count in alive.items():
+            for step, digits in ((1, 2), (-2, 1)):
+                if (w + step) * w > 0:
+                    later[w + step] = later.get(w + step, 0) + count * digits
+        alive = later
+    return probabilities
 
 
 def entropy_dimension_mp(p0, p1, p2, dps: int = 50) -> float:

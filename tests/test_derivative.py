@@ -370,3 +370,17 @@ class TestClassificationReport:
         assert classification_report(Fraction(1, 2))["walk_prefix"] == list(
             range(-2, -41, -2)
         )
+
+    @pytest.mark.parametrize("x", [Fraction(1, 7), Fraction(99741, 100003)])
+    def test_counts_the_period_once(self, monkeypatch, x):
+        # the drift and the verdict come from one count of the period's 1's
+        want = classification_report(x)
+        drift, calls = derivative.period_drift, []
+
+        def counting(seq):
+            calls.append(seq)
+            return drift(seq)
+
+        monkeypatch.setattr(derivative, "period_drift", counting)
+        assert classification_report(x) == want
+        assert len(calls) == 1

@@ -18,6 +18,7 @@ from okamoto_k.errors import DomainError, ResourceLimitError
 
 from oracles import (
     box_counts_fractions,
+    crossing_probabilities_exact,
     crossing_probability_enum,
     entropy_dimension_mp,
     subdivision_fractions,
@@ -216,6 +217,11 @@ class TestCrossingProbabilityDP:
             assert crossing_probability_dp(horizon) == pytest.approx(
                 crossing_probability_enum(horizon), abs=1e-12
             )
+
+    def test_against_exact_counts(self):
+        # every horizon up to 60, far past the 3^h enumeration above
+        for horizon, exact in enumerate(crossing_probabilities_exact(60), start=1):
+            assert abs(Fraction(crossing_probability_dp(horizon)) - exact) <= 1e-15
 
     def test_monotone_in_horizon(self):
         vals = [crossing_probability_dp(h) for h in (10, 50, 100, 400)]
